@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint lint-intra lint-inter lint-conc lint-json lint-update test race bench-smoke sweep-bench obs-bench mem-smoke profile metrics-check serve-smoke verify
+.PHONY: all build vet lint lint-intra lint-inter lint-conc lint-json lint-update test perfbench-test race bench-smoke sweep-bench obs-bench mem-smoke profile metrics-check serve-smoke verify
 
 all: verify
 
@@ -44,6 +44,12 @@ lint-update:
 
 test:
 	$(GO) test ./...
+
+# The benchmark is its own Go module, so the root `go test ./...` never
+# reaches its tests (the slowed-layer check and the BENCHMARK.json ↔
+# layers.go check).
+perfbench-test:
+	cd perfbench && $(GO) test ./...
 
 race:
 	$(GO) test -race ./...
@@ -100,4 +106,4 @@ metrics-check:
 serve-smoke:
 	./scripts/serve_smoke.sh
 
-verify: build vet lint test race bench-smoke mem-smoke serve-smoke
+verify: build vet lint test perfbench-test race bench-smoke mem-smoke serve-smoke

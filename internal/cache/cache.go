@@ -11,23 +11,25 @@
 // lines resident in those positions.
 //
 // Layout: the line array is struct-of-arrays — one flat []uint64 of tags
-// and one flat []uint8 of valid/dirty bits, both indexed set*ways+pos with
-// each set ordered MRU..LRU. The hot operations (tag probe, LRU shift) touch
-// the tag lane almost exclusively, so SoA packs 8 tags per cache line of
-// simulator memory instead of 5⅓ padded AoS entries, and the LRU shift of
-// the metadata lane is a byte-wise copy.
+// indexed set*ways+pos with each set ordered MRU..LRU, plus two per-set
+// bitmasks, valid and dirty, whose bit pos describes the line at LRU stack
+// position pos. The tag probe touches the tag lane almost exclusively; the
+// LRU update of the line state is a few shifts on two words; and the eager
+// victim scan tests one word per set. The bitmasks bound the associativity
+// at 64 ways.
 package cache
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // LineBytes is the cache-line size in bytes.
 const LineBytes = 64
 
-// Metadata lane bits (one byte per line).
-const (
-	metaValid uint8 = 1 << 0
-	metaDirty uint8 = 1 << 1
-)
+// MaxWays is the largest supported associativity: one bit per way in the
+// per-set valid and dirty masks.
+const MaxWays = 64
 
 // Stats aggregates cache event counters.
 type Stats struct {
@@ -42,11 +44,13 @@ type Stats struct {
 // Cache is a set-associative write-back LLC. It is not safe for concurrent
 // use.
 type Cache struct {
-	// tags and meta are the SoA line array: entry set*ways+pos holds the tag
-	// and valid/dirty bits of the line at LRU stack position pos of that set
-	// (0 = MRU).
+	// tags is the tag lane: entry set*ways+pos holds the tag of the line at
+	// LRU stack position pos of that set (0 = MRU). valid[set] and
+	// dirty[set] hold that set's line state, bit pos for position pos. A
+	// dirty bit is only ever set together with its valid bit.
 	tags     []uint64
-	meta     []uint8
+	valid    []uint64
+	dirty    []uint64
 	setCount int
 	ways     int
 	setMask  uint64
@@ -63,10 +67,13 @@ type Cache struct {
 
 // New constructs a cache of sizeBytes capacity with the given associativity.
 // sizeBytes must be a positive multiple of ways*LineBytes and yield a
-// power-of-two set count.
+// power-of-two set count; ways must not exceed MaxWays.
 func New(sizeBytes, ways int) (*Cache, error) {
 	if sizeBytes <= 0 || ways <= 0 {
 		return nil, fmt.Errorf("cache: invalid size %d / ways %d", sizeBytes, ways)
+	}
+	if ways > MaxWays {
+		return nil, fmt.Errorf("cache: %d ways exceeds the %d-way limit", ways, MaxWays)
 	}
 	lines := sizeBytes / LineBytes
 	if lines*LineBytes != sizeBytes || lines%ways != 0 {
@@ -78,7 +85,8 @@ func New(sizeBytes, ways int) (*Cache, error) {
 	}
 	c := &Cache{
 		tags:     make([]uint64, setCount*ways),
-		meta:     make([]uint8, setCount*ways),
+		valid:    make([]uint64, setCount),
+		dirty:    make([]uint64, setCount),
 		setCount: setCount,
 		ways:     ways,
 		setMask:  uint64(setCount - 1),
@@ -143,26 +151,26 @@ type Result struct {
 // returns what the memory system must do: nothing (hit), a fill (read
 // miss), and possibly a dirty writeback (victim eviction). It is on the
 // simulator's per-access hot path: the probe walks the set's tag lane, and
-// the metadata lane is only touched on a hit or a fill.
+// the LRU update moves the set's valid and dirty bits in step with its tags.
 func (c *Cache) Access(addr uint64, write bool) Result {
 	setIdx, tag := c.locate(addr)
 	base := setIdx * c.ways
 	tags := c.tags[base : base+c.ways]
-	meta := c.meta[base : base+c.ways]
+	valid, dirty := c.valid[setIdx], c.dirty[setIdx]
 
 	for pos := range tags {
-		if meta[pos]&metaValid != 0 && tags[pos] == tag {
+		if tags[pos] == tag && valid>>uint(pos)&1 != 0 {
 			c.stats.Hits++
 			c.stats.HitsByPos[pos]++
-			m := meta[pos]
-			if write {
-				m |= metaDirty
-			}
 			// Move to MRU.
 			copy(tags[1:pos+1], tags[:pos])
-			copy(meta[1:pos+1], meta[:pos])
 			tags[0] = tag
-			meta[0] = m
+			c.valid[setIdx] = promote(valid, pos)
+			dirty = promote(dirty, pos)
+			if write {
+				dirty |= 1
+			}
+			c.dirty[setIdx] = dirty
 			return Result{Hit: true}
 		}
 	}
@@ -171,19 +179,29 @@ func (c *Cache) Access(addr uint64, write bool) Result {
 	c.stats.Misses++
 	res := Result{FillAddr: addr &^ uint64(LineBytes-1)}
 	last := c.ways - 1
-	if meta[last]&(metaValid|metaDirty) == metaValid|metaDirty {
+	lruBit := uint64(1) << uint(last)
+	if dirty&lruBit != 0 {
 		c.stats.Writebacks++
 		res.Writeback = true
 		res.WritebackAddr = c.reconstruct(setIdx, tags[last])
 	}
 	copy(tags[1:], tags[:last])
-	copy(meta[1:], meta[:last])
 	tags[0] = tag
-	meta[0] = metaValid
+	c.valid[setIdx] = (valid&^lruBit)<<1 | 1
+	dirty = (dirty &^ lruBit) << 1
 	if write {
-		meta[0] |= metaDirty
+		dirty |= 1
 	}
+	c.dirty[setIdx] = dirty
 	return res
+}
+
+// promote moves bit pos of a set's line-state mask to bit 0 (MRU) and
+// shifts bits [0,pos) up by one, mirroring the tag lane's move to MRU; bits
+// above pos are unchanged.
+func promote(m uint64, pos int) uint64 {
+	below := uint64(1)<<uint(pos) - 1
+	return m&^(below<<1|1) | (m&below)<<1 | m>>uint(pos)&1
 }
 
 func (c *Cache) reconstruct(setIdx int, tag uint64) uint64 {
@@ -227,9 +245,8 @@ func (c *Cache) UselessPositions(eagerThreshold int) int {
 // least-recently-used positions. If found, the line is marked clean (its
 // data is now considered written back — a later store re-dirties it, making
 // the eager write wasted wear, as in the paper), and its address is
-// returned. The scan reads only the one-byte metadata lane until it finds a
-// victim, so skipping clean sets costs a few cache lines of simulator
-// memory per set, not the full tag array.
+// returned; within a set the useless position closest to MRU is taken
+// first. Each skipped set costs one test of its dirty mask.
 func (c *Cache) NextEagerVictim(uselessN, maxSets int) (addr uint64, ok bool) {
 	if uselessN <= 0 {
 		return 0, false
@@ -240,19 +257,22 @@ func (c *Cache) NextEagerVictim(uselessN, maxSets int) (addr uint64, ok bool) {
 	if maxSets <= 0 || maxSets > c.setCount {
 		maxSets = c.setCount
 	}
-	const valadirty = metaValid | metaDirty
+	first := c.ways - uselessN // shallowest useless position
+	wrap := c.setCount - 1
+	dirty := c.dirty
+	cursor := c.eagerCursor
 	for scanned := 0; scanned < maxSets; scanned++ {
-		setIdx := c.eagerCursor
-		c.eagerCursor = (c.eagerCursor + 1) % c.setCount
-		base := setIdx * c.ways
-		for pos := c.ways - uselessN; pos < c.ways; pos++ {
-			if c.meta[base+pos]&valadirty == valadirty {
-				c.meta[base+pos] &^= metaDirty
-				c.stats.EagerWrites++
-				return c.reconstruct(setIdx, c.tags[base+pos]), true
-			}
+		setIdx := cursor
+		cursor = (cursor + 1) & wrap
+		if d := dirty[setIdx] >> uint(first); d != 0 {
+			c.eagerCursor = cursor
+			pos := first + bits.TrailingZeros64(d)
+			dirty[setIdx] &^= 1 << uint(pos)
+			c.stats.EagerWrites++
+			return c.reconstruct(setIdx, c.tags[setIdx*c.ways+pos]), true
 		}
 	}
+	c.eagerCursor = cursor
 	return 0, false
 }
 
@@ -262,7 +282,8 @@ func (c *Cache) NextEagerVictim(uselessN, maxSets int) (addr uint64, ok bool) {
 func (c *Cache) Clone() *Cache {
 	n := &Cache{
 		tags:        append([]uint64(nil), c.tags...),
-		meta:        append([]uint8(nil), c.meta...),
+		valid:       append([]uint64(nil), c.valid...),
+		dirty:       append([]uint64(nil), c.dirty...),
 		setCount:    c.setCount,
 		ways:        c.ways,
 		setMask:     c.setMask,
@@ -278,11 +299,8 @@ func (c *Cache) Clone() *Cache {
 // helper).
 func (c *Cache) DirtyLines() int {
 	n := 0
-	const valadirty = metaValid | metaDirty
-	for _, m := range c.meta {
-		if m&valadirty == valadirty {
-			n++
-		}
+	for _, d := range c.dirty {
+		n += bits.OnesCount64(d)
 	}
 	return n
 }

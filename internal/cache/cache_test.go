@@ -18,6 +18,7 @@ func mustNew(t *testing.T, size, ways int) *Cache {
 func TestNewErrors(t *testing.T) {
 	cases := []struct{ size, ways int }{
 		{0, 4}, {1024, 0}, {1000, 4} /* not divisible */, {3 * 64 * 4, 4}, /* 3 sets: not a power of two */
+		{65 * 64, 65}, /* one set wider than the 64-bit line-state masks */
 	}
 	for _, c := range cases {
 		if _, err := New(c.size, c.ways); err == nil {

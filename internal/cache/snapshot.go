@@ -30,14 +30,16 @@ type Snapshot struct {
 }
 
 // Snapshot captures the cache's complete state for checkpointing. The
-// in-memory SoA lanes are re-interleaved into LineState records, so the
-// serialized format is layout-independent (and unchanged from the AoS era).
+// in-memory tag lane and per-set valid/dirty masks are re-interleaved into
+// LineState records, so the serialized format is layout-independent (and
+// unchanged from the AoS era).
 //
 //mctlint:ignore clonefields setMask and setShift are derived from setCount and recomputed by New on restore
 func (c *Cache) Snapshot() Snapshot {
 	lines := make([]LineState, len(c.tags))
 	for i, tag := range c.tags {
-		lines[i] = LineState{Tag: tag, Valid: c.meta[i]&metaValid != 0, Dirty: c.meta[i]&metaDirty != 0}
+		set, bit := i/c.ways, uint(i%c.ways)
+		lines[i] = LineState{Tag: tag, Valid: c.valid[set]>>bit&1 != 0, Dirty: c.dirty[set]>>bit&1 != 0}
 	}
 	st := c.stats
 	st.HitsByPos = append([]uint64(nil), c.stats.HitsByPos...)
@@ -67,15 +69,17 @@ func FromSnapshot(s Snapshot) (*Cache, error) {
 		return nil, fmt.Errorf("cache: snapshot eager cursor %d outside [0,%d)", s.EagerCursor, c.setCount)
 	}
 	for i, ls := range s.Lines {
+		if ls.Dirty && !ls.Valid {
+			return nil, fmt.Errorf("cache: snapshot line %d is dirty but not valid", i)
+		}
 		c.tags[i] = ls.Tag
-		var m uint8
+		set, bit := i/c.ways, uint(i%c.ways)
 		if ls.Valid {
-			m |= metaValid
+			c.valid[set] |= 1 << bit
 		}
 		if ls.Dirty {
-			m |= metaDirty
+			c.dirty[set] |= 1 << bit
 		}
-		c.meta[i] = m
 	}
 	c.eagerCursor = s.EagerCursor
 	c.stats = s.Stats

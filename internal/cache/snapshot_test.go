@@ -76,6 +76,12 @@ func TestFromSnapshotValidates(t *testing.T) {
 	}
 
 	bad = c.Snapshot()
+	bad.Lines[3] = LineState{Tag: 5, Dirty: true}
+	if _, err := FromSnapshot(bad); err == nil {
+		t.Error("dirty but invalid line accepted")
+	}
+
+	bad = c.Snapshot()
 	bad.SizeBytes = 7
 	if _, err := FromSnapshot(bad); err == nil {
 		t.Error("invalid geometry accepted")

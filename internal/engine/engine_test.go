@@ -58,11 +58,22 @@ func TestMapBoundsConcurrency(t *testing.T) {
 func TestMapFirstErrorCancels(t *testing.T) {
 	boom := errors.New("boom")
 	var calls atomic.Int64
+	var timedOut atomic.Bool
 	_, err := Map(context.Background(), 100, Options{Workers: 4},
 		func(ctx context.Context, i int) (int, error) {
 			calls.Add(1)
 			if i == 3 {
 				return 0, fmt.Errorf("task %d: %w", i, boom)
+			}
+			// Hold the worker until the cancellation arrives, so the other
+			// tasks cannot all finish before it. If it never arrives, stop
+			// waiting and let the count below report the failure.
+			if !timedOut.Load() {
+				select {
+				case <-ctx.Done():
+				case <-time.After(5 * time.Second):
+					timedOut.Store(true)
+				}
 			}
 			return i, nil
 		})

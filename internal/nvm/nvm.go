@@ -200,6 +200,29 @@ type inflight struct {
 	token       int // write-power token held for the pulse duration
 }
 
+// Write classes: the latency classes a write can issue in. Their pulse
+// lengths and wear charges are resolved once per configuration
+// (resolveClasses), so issuing a write indexes a table instead of
+// recomputing them and hashing the ratio into WritesByRatio.
+const (
+	classFast   = iota
+	classSlow   // mellow writes: bank-aware and eager
+	classForced // every write in a slice with an exhausted wear quota
+	numClasses
+)
+
+// latencyClass is one resolved write class and its write count under the
+// current configuration.
+type latencyClass struct {
+	ratio float64
+	pulse uint64  // write pulse, cycles
+	wear  float64 // line-lifetimes consumed per write
+	// fast: a non-eager write in this class is issued at FastLatency and
+	// counts as a fast write.
+	fast  bool
+	count uint64 // writes issued since the class was resolved
+}
+
 type bankState struct {
 	freeAt uint64
 	// op is the write occupying the bank until freeAt, valid only while
@@ -238,6 +261,11 @@ type Controller struct {
 	forced    bool
 	nextSlice uint64
 
+	// classes is the write-class table of the active configuration.
+	// st.WritesByRatio holds only the counts of tables retired by
+	// SetConfig; Stats merges in the live ones.
+	classes [numClasses]latencyClass
+
 	st Stats
 }
 
@@ -258,6 +286,7 @@ func New(cfg config.Config, p Params) (*Controller, error) {
 	c.nextSlice = p.WearQuotaSliceCycles
 	c.st.WearByBank = make([]float64, p.Banks)
 	c.st.WritesByRatio = make(map[float64]uint64)
+	c.resolveClasses()
 	return c, nil
 }
 
@@ -280,7 +309,26 @@ func (c *Controller) SetConfig(cfg config.Config) error {
 	if !c.cfg.WearQuota {
 		c.forced = false
 	}
+	c.resolveClasses()
 	return nil
+}
+
+// resolveClasses rebuilds the write-class table for the active
+// configuration, first folding the outgoing table's counts into
+// st.WritesByRatio so ratios of earlier configurations keep their counts.
+func (c *Controller) resolveClasses() {
+	for i := range c.classes {
+		if cl := &c.classes[i]; cl.count > 0 {
+			c.st.WritesByRatio[cl.ratio] += cl.count
+		}
+	}
+	for i, r := range [numClasses]float64{c.cfg.FastLatency, c.cfg.SlowLatency, config.WearQuotaSlowRatio} {
+		c.classes[i] = latencyClass{ratio: r, pulse: c.twp(r), wear: c.wearPerWrite(r)}
+	}
+	// The canonical configuration has SlowLatency ≥ FastLatency, so a slow
+	// ratio not above the fast one is the fast ratio itself.
+	c.classes[classFast].fast = true
+	c.classes[classSlow].fast = c.cfg.SlowLatency <= c.cfg.FastLatency
 }
 
 // EagerSpace reports whether the eager queue can accept another entry.
@@ -292,14 +340,17 @@ func (c *Controller) EagerSpace() bool { return c.eagerQLen < c.p.EagerQueueCap 
 func (c *Controller) Params() Params { return c.p }
 
 // Stats returns a snapshot of the counters.
-func (c *Controller) Stats() Stats {
-	s := c.st
-	s.WearByBank = append([]float64(nil), c.st.WearByBank...)
-	byRatio := make(map[float64]uint64, len(c.st.WritesByRatio))
-	for k, v := range c.st.WritesByRatio {
-		byRatio[k] = v
+func (c *Controller) Stats() Stats { return withClassCounts(c.st, &c.classes) }
+
+// withClassCounts returns a deep copy of st with the live write counts of
+// classes merged into WritesByRatio.
+func withClassCounts(st Stats, classes *[numClasses]latencyClass) Stats {
+	s := st.Clone()
+	for _, cl := range classes {
+		if cl.count > 0 {
+			s.WritesByRatio[cl.ratio] += cl.count
+		}
 	}
-	s.WritesByRatio = byRatio
 	return s
 }
 
@@ -471,7 +522,8 @@ func (c *Controller) advanceBank(b int, t uint64) {
 // TBurst, then the write pulse holds the bank for TWP·ratio.
 func (c *Controller) issueWrite(b int, req writeReq, isEager bool) {
 	bank := &c.banks[b]
-	ratio, cancellable := c.writeClass(b, req, isEager)
+	cls, cancellable := c.writeClass(b, req, isEager)
+	wc := &c.classes[cls]
 
 	issueAt := max64(bank.freeAt, req.enq)
 	busStart := max64(issueAt, c.busFreeAt)
@@ -486,20 +538,20 @@ func (c *Controller) issueWrite(b int, req writeReq, isEager bool) {
 		}
 	}
 	pulseStart := max64(busStart+c.p.TBurst, c.tokens[tok])
-	done := pulseStart + c.twp(ratio)
+	done := pulseStart + wc.pulse
 	c.tokens[tok] = done
 	bank.freeAt = done
-	bank.op = inflight{req: req, pulseStart: pulseStart, done: done, ratio: ratio, cancellable: cancellable, token: tok}
+	bank.op = inflight{req: req, pulseStart: pulseStart, done: done, ratio: wc.ratio, cancellable: cancellable, token: tok}
 	bank.opValid = true
 
 	// Accounting. Wear and energy are charged per attempt: a cancelled
 	// attempt costs a full write of wear (the "extra writes" lifetime
 	// penalty of cancellation, §2) and its rewrite is charged again on
 	// reissue.
-	c.st.WearByBank[b] += c.wearPerWrite(ratio)
-	c.st.TotalWear += c.wearPerWrite(ratio)
-	c.st.WritesByRatio[ratio]++
-	c.st.WritePulseCycles += c.twp(ratio)
+	c.st.WearByBank[b] += wc.wear
+	c.st.TotalWear += wc.wear
+	wc.count++
+	c.st.WritePulseCycles += wc.pulse
 	if isEager {
 		c.st.EagerWrites++
 	} else {
@@ -511,29 +563,30 @@ func (c *Controller) issueWrite(b int, req writeReq, isEager bool) {
 		if isEager {
 			c.st.EagerConversions++
 		}
-	case ratio == c.cfg.FastLatency && !isEager: //mctlint:ignore floateq ratio is assigned verbatim from cfg.FastLatency/SlowLatency; provenance compare is exact
+	case wc.fast && !isEager:
 		c.st.FastWrites++
 	default:
 		c.st.SlowWrites++
 	}
 }
 
-// writeClass decides the latency ratio and cancellability of a write about
-// to issue on bank b (the request has already been popped from its queue).
-func (c *Controller) writeClass(b int, req writeReq, isEager bool) (ratio float64, cancellable bool) {
+// writeClass decides the write class (an index into c.classes) and
+// cancellability of a write about to issue on bank b (the request has
+// already been popped from its queue).
+func (c *Controller) writeClass(b int, req writeReq, isEager bool) (cls int, cancellable bool) {
 	if c.cfg.WearQuota && c.forced {
 		// Exhausted quota: "the whole coming time slice can only use the
 		// slowest writes and write cancellation is enforced" (§3.1).
-		return config.WearQuotaSlowRatio, req.cancels < c.p.MaxCancellations
+		return classForced, req.cancels < c.p.MaxCancellations
 	}
 	if isEager {
-		return c.cfg.SlowLatency, c.cfg.SlowCancellation && req.cancels < c.p.MaxCancellations
+		return classSlow, c.cfg.SlowCancellation && req.cancels < c.p.MaxCancellations
 	}
 	if c.cfg.BankAware && len(c.banks[b].writes) < c.cfg.BankAwareThreshold {
 		// Bank not busy: issue slow.
-		return c.cfg.SlowLatency, c.cfg.SlowCancellation && req.cancels < c.p.MaxCancellations
+		return classSlow, c.cfg.SlowCancellation && req.cancels < c.p.MaxCancellations
 	}
-	return c.cfg.FastLatency, c.cfg.FastCancellation && req.cancels < c.p.MaxCancellations
+	return classFast, c.cfg.FastCancellation && req.cancels < c.p.MaxCancellations
 }
 
 // Read services a demand read at time now and returns the cycle at which

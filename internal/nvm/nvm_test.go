@@ -2,6 +2,7 @@ package nvm
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -272,6 +273,24 @@ func TestBankAwareIssuesSlowWhenIdle(t *testing.T) {
 	}
 }
 
+// TestBankAwareSlowAtFastRatioCountsFast: a bank-aware slow write whose
+// slow ratio equals the fast one is issued at FastLatency and counts as a
+// fast write.
+func TestBankAwareSlowAtFastRatioCountsFast(t *testing.T) {
+	cfg := config.Default()
+	cfg.BankAware = true
+	cfg.BankAwareThreshold = 1
+	cfg.FastLatency = 2.0
+	cfg.SlowLatency = 2.0
+	c := mustNew(t, cfg, smallParams())
+	c.Write(0, 100)
+	c.Drain(1 << 30)
+	st := c.Stats()
+	if st.FastWrites != 1 || st.SlowWrites != 0 || st.WritesByRatio[2.0] != 1 {
+		t.Fatalf("slow write at the fast ratio must count as fast: %+v", st)
+	}
+}
+
 func TestBankAwareIssuesFastUnderPressure(t *testing.T) {
 	p := smallParams()
 	cfg := config.Default()
@@ -386,6 +405,26 @@ func TestSetConfigPreservesState(t *testing.T) {
 	}
 	if err := c.SetConfig(config.Config{FastLatency: 99}); err == nil {
 		t.Fatal("invalid config must be rejected")
+	}
+
+	// Write counts by ratio survive reconfiguration and a snapshot round
+	// trip: ratios of earlier configurations keep theirs.
+	c.Write(1<<20, 1<<21)
+	c.Drain(1 << 30)
+	if err := c.SetConfig(config.Config{FastLatency: 2.5, SlowLatency: 2.5}); err != nil {
+		t.Fatal(err)
+	}
+	r, err := FromSnapshot(c.Snapshot())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ctrl := range []*Controller{c, r} {
+		ctrl.Write(2<<20, 1<<31)
+		ctrl.Drain(1 << 32)
+		want := map[float64]uint64{1.0: 1, 3.0: 1, 2.5: 1}
+		if got := ctrl.Stats().WritesByRatio; !reflect.DeepEqual(got, want) {
+			t.Errorf("writes by ratio = %v, want %v", got, want)
+		}
 	}
 }
 

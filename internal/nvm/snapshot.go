@@ -4,8 +4,8 @@
 // The aliasing rules (see DESIGN.md, "Snapshot contract"): a clone shares
 // nothing mutable with its parent. Per-bank queues are slices of value
 // structs and are copied; the in-flight op is a fresh pointer; Stats is
-// deep-copied (WearByBank slice, WritesByRatio map). Params and Config are
-// pure value types and copy by assignment.
+// deep-copied (WearByBank slice, WritesByRatio map). Params, Config and the
+// write-class table are pure value types and copy by assignment.
 package nvm
 
 import (
@@ -164,12 +164,16 @@ func (c *Controller) Snapshot() Snapshot {
 		DrainMode: c.drainMode,
 		Forced:    c.forced,
 		NextSlice: c.nextSlice,
-		Stats:     c.st.Clone(),
+		Stats:     withClassCounts(c.st, &c.classes),
 	}
 }
 
 // FromSnapshot rebuilds a controller from a state captured with Snapshot.
-// The rebuilt controller continues the identical simulation.
+// The rebuilt controller continues the identical simulation. It rejects a
+// snapshot that breaks a cross-field invariant the controller relies on —
+// queue totals that disagree with the per-bank queues, an in-flight op
+// holding a token that does not exist — so a corrupt checkpoint fails here
+// instead of panicking later in the step loop.
 func FromSnapshot(s Snapshot) (*Controller, error) {
 	c, err := New(s.Config, s.Params)
 	if err != nil {
@@ -184,8 +188,14 @@ func FromSnapshot(s Snapshot) (*Controller, error) {
 	if len(s.Stats.WearByBank) != s.Params.Banks {
 		return nil, fmt.Errorf("nvm: snapshot wear vector has %d banks, params say %d", len(s.Stats.WearByBank), s.Params.Banks)
 	}
+	writeQLen, eagerQLen := 0, 0
 	for i := range s.Banks {
 		bs := &s.Banks[i]
+		writeQLen += len(bs.Writes)
+		eagerQLen += len(bs.Eager)
+		if bs.Op != nil && (bs.Op.Token < 0 || bs.Op.Token >= len(s.Tokens)) {
+			return nil, fmt.Errorf("nvm: snapshot bank %d op holds token %d, params have %d", i, bs.Op.Token, len(s.Tokens))
+		}
 		b := bankState{
 			freeAt:   bs.FreeAt,
 			writes:   reqsFromState(bs.Writes),
@@ -205,6 +215,10 @@ func FromSnapshot(s Snapshot) (*Controller, error) {
 			b.opValid = true
 		}
 		c.banks[i] = b
+	}
+	if s.WriteQLen != writeQLen || s.EagerQLen != eagerQLen {
+		return nil, fmt.Errorf("nvm: snapshot queue lengths %d/%d disagree with the %d/%d queued bank writes",
+			s.WriteQLen, s.EagerQLen, writeQLen, eagerQLen)
 	}
 	copy(c.tokens, s.Tokens)
 	c.busFreeAt = s.BusFreeAt

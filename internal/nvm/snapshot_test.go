@@ -140,6 +140,49 @@ func TestFromSnapshotValidates(t *testing.T) {
 	}
 }
 
+// TestFromSnapshotRejectsCorruptQueues feeds snapshots whose queue totals
+// or in-flight token disagree with the rest of the state to the restore
+// path: each must fail there with an error, not load and panic later.
+func TestFromSnapshotRejectsCorruptQueues(t *testing.T) {
+	c := mustNew(t, config.StaticBaseline(), smallParams())
+	end := applyTraffic(c, 61, 400, 0)
+	for i := uint64(0); i < 4; i++ { // back-to-back writes to one row queue up
+		c.Write(i*64, end)
+	}
+	good := c.Snapshot()
+	opBank := -1
+	for i, b := range good.Banks {
+		if b.Op != nil {
+			opBank = i
+			break
+		}
+	}
+	if opBank < 0 || good.WriteQLen == 0 {
+		t.Fatalf("test traffic left no in-flight op (bank %d) or no queued write (%d)", opBank, good.WriteQLen)
+	}
+
+	cases := []struct {
+		name    string
+		corrupt func(s *Snapshot)
+	}{
+		{"write queue length too high", func(s *Snapshot) { s.WriteQLen++ }},
+		{"write queue length too low", func(s *Snapshot) { s.WriteQLen-- }},
+		{"eager queue length too high", func(s *Snapshot) { s.EagerQLen++ }},
+		{"negative eager queue length", func(s *Snapshot) { s.EagerQLen = -1 }},
+		{"token past the last", func(s *Snapshot) { s.Banks[opBank].Op.Token = len(s.Tokens) }},
+		{"negative token", func(s *Snapshot) { s.Banks[opBank].Op.Token = -1 }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			bad := c.Snapshot()
+			tc.corrupt(&bad)
+			if _, err := FromSnapshot(bad); err == nil {
+				t.Error("corrupt snapshot accepted")
+			}
+		})
+	}
+}
+
 // TestStatsCloneIsDeep: mutating a cloned Stats' slice/map never shows up
 // in the original.
 func TestStatsCloneIsDeep(t *testing.T) {

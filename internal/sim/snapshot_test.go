@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"mct/internal/cache"
 	"mct/internal/config"
 	"mct/internal/trace"
 )
@@ -178,6 +179,51 @@ func TestCheckpointSaveLoad(t *testing.T) {
 	}
 	if _, err := LoadCheckpoint(garbage); err == nil {
 		t.Error("garbage checkpoint loaded")
+	}
+}
+
+// TestRestoreMachineRejectsCorruptState feeds machine states with one
+// corrupted cross-field invariant to the restore path. Each used to load
+// and leave the step loop to trip over it later (a bad token panics in
+// Read); each must now fail at restore.
+func TestRestoreMachineRejectsCorruptState(t *testing.T) {
+	m, err := NewMachine(mustSpec(t, "lbm"), config.StaticBaseline(), quickOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	runWindow(m, 30_000)
+	good := m.Snapshot()
+	if _, err := RestoreMachine(good); err != nil {
+		t.Fatalf("valid state rejected: %v", err)
+	}
+	opBank := -1
+	for i, b := range good.Ctrl.Banks {
+		if b.Op != nil {
+			opBank = i
+			break
+		}
+	}
+	if opBank < 0 {
+		t.Fatal("the run left no write in flight to corrupt")
+	}
+
+	cases := []struct {
+		name    string
+		corrupt func(st *MachineState)
+	}{
+		{"controller write queue length", func(st *MachineState) { st.Ctrl.WriteQLen += 3 }},
+		{"controller eager queue length", func(st *MachineState) { st.Ctrl.EagerQLen += 3 }},
+		{"in-flight token out of range", func(st *MachineState) { st.Ctrl.Banks[opBank].Op.Token = len(st.Ctrl.Tokens) }},
+		{"LLC line dirty but not valid", func(st *MachineState) { st.LLC.Lines[0] = cache.LineState{Tag: 1, Dirty: true} }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			st := m.Snapshot()
+			tc.corrupt(&st)
+			if _, err := RestoreMachine(st); err == nil {
+				t.Error("corrupt state restored")
+			}
+		})
 	}
 }
 
