@@ -91,7 +91,8 @@ obs-bench:
 # Determinism check on the metrics dump itself: the same run at -workers 1
 # and -workers 4 must produce byte-identical stable dumps — once on the
 # stock llc>nvm pipeline and once with the DRAM tier interposed (the
-# dram.* metric family must be just as worker-count invariant).
+# dram.* metric family must be just as worker-count invariant). The
+# multi-core fig10 report gets the same workers-1-vs-4 cmp.
 metrics-check:
 	$(GO) run ./cmd/mct -benchmark lbm -insts 6000000 -workers 1 -metrics-out results/metrics-w1.json >/dev/null
 	$(GO) run ./cmd/mct -benchmark lbm -insts 6000000 -workers 4 -metrics-out results/metrics-w4.json >/dev/null
@@ -99,6 +100,9 @@ metrics-check:
 	$(GO) run ./cmd/mct -benchmark lbm -insts 6000000 -dram -workers 1 -metrics-out results/metrics-dram-w1.json >/dev/null
 	$(GO) run ./cmd/mct -benchmark lbm -insts 6000000 -dram -workers 4 -metrics-out results/metrics-dram-w4.json >/dev/null
 	cmp results/metrics-dram-w1.json results/metrics-dram-w4.json
+	$(GO) run ./cmd/mctbench -experiment fig10 -quick -quiet -workers 1 > results/fig10-w1.txt
+	$(GO) run ./cmd/mctbench -experiment fig10 -quick -quiet -workers 4 > results/fig10-w4.txt
+	cmp results/fig10-w1.txt results/fig10-w4.txt
 
 # End-to-end daemon smoke: boot mctd, prove CLI/daemon artifact parity over
 # HTTP, then kill -9 mid-job and prove the restarted daemon resumes from the

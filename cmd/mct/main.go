@@ -14,7 +14,7 @@
 // Checkpoints capture the machine's complete state (trace position, PRNG
 // stream, cache contents, controller queues and wear): a run resumed from
 // -checkpoint-load continues the exact simulation the saved run would have
-// executed. Checkpoints are single-core only.
+// executed, for single benchmarks and -mix runs alike.
 //
 // The reference runs (default system, static baseline) execute concurrently
 // with the MCT run on separate simulated machines; -workers bounds that
@@ -83,8 +83,8 @@ func main() {
 	ro.Model = *model
 	ro.EnablePhaseDetection = *phases
 
-	if *mix != "" && (*ckptSave != "" || *ckptLoad != "") {
-		fail(errors.New("checkpoints are single-core only; drop -mix or the -checkpoint flags"))
+	if *mix != "" && *ckptLoad != "" {
+		fail(errors.New("a checkpoint carries its own workloads; drop -mix or -checkpoint-load"))
 	}
 	if *dramTh != 0 && !*dram {
 		fail(errors.New("-dram-promote requires -dram"))
@@ -115,68 +115,53 @@ func main() {
 	}
 
 	var (
-		res mct.Result
-		err error
+		m *mct.Machine
+		e error
 	)
-	if *mix != "" {
-		mm, e := mct.NewMixMachine(ctx, *mix, mct.StaticBaseline(), mct.WithTiers(tiers), mct.WithObserver(reg))
-		if e != nil {
-			fail(e)
+	switch {
+	case *ckptLoad != "":
+		m, e = mct.LoadCheckpoint(*ckptLoad)
+		// The loaded machine is already warm; the runtime's own warmup
+		// would advance it past the saved point.
+		ro.WarmupAccesses = 0
+		// A checkpoint written under -metrics-out carries its registry;
+		// resuming continues the same counters so the final dump matches
+		// an uninterrupted run.
+		if e == nil && reg != nil && m.Observer() != nil {
+			reg = m.Observer()
 		}
-		rt, e := mct.NewMultiRuntime(ctx, mm, obj, mct.WithRuntimeOptions(ro), mct.WithObserver(reg))
-		if e != nil {
-			fail(e)
-		}
-		res, err = rt.Run(*insts)
-		if err == nil {
-			mm.SyncObserver()
-		}
-	} else {
-		var (
-			m *mct.Machine
-			e error
-		)
-		if *ckptLoad != "" {
-			m, e = mct.LoadCheckpoint(*ckptLoad)
-			// The loaded machine is already warm; the runtime's own warmup
-			// would advance it past the saved point.
-			ro.WarmupAccesses = 0
-			// A checkpoint written under -metrics-out carries its registry;
-			// resuming continues the same counters so the final dump matches
-			// an uninterrupted run.
-			if e == nil && reg != nil && m.Observer() != nil {
-				reg = m.Observer()
-			}
-		} else {
-			m, e = mct.NewMachine(ctx, *bench, mct.StaticBaseline(), mct.WithTiers(tiers), mct.WithObserver(reg))
-		}
-		if e != nil {
-			fail(e)
-		}
-		if *ckptLoad != "" {
-			fmt.Printf("resumed from %s (%d instructions executed)\n", *ckptLoad, m.Instructions())
-		}
-		rt, e := mct.NewRuntime(ctx, m, obj, mct.WithRuntimeOptions(ro), mct.WithObserver(reg))
-		if e != nil {
-			fail(e)
-		}
-		res, err = rt.Run(*insts)
-		if err == nil && *ckptSave != "" {
-			if e := mct.SaveCheckpoint(*ckptSave, m); e != nil {
-				fail(e)
-			}
-			fmt.Fprintf(os.Stderr, "checkpoint saved to %s\n", *ckptSave)
-		}
-		if err == nil {
-			m.SyncObserver()
-		}
+	case *mix != "":
+		m, e = mct.NewMixMachine(ctx, *mix, mct.StaticBaseline(), mct.WithTiers(tiers), mct.WithObserver(reg))
+	default:
+		m, e = mct.NewMachine(ctx, *bench, mct.StaticBaseline(), mct.WithTiers(tiers), mct.WithObserver(reg))
 	}
+	if e != nil {
+		fail(e)
+	}
+	if *ckptLoad != "" {
+		fmt.Printf("resumed from %s (%d instructions executed)\n", *ckptLoad, m.Instructions())
+	}
+	rt, e := mct.NewRuntime(ctx, m, obj, mct.WithRuntimeOptions(ro), mct.WithObserver(reg))
+	if e != nil {
+		fail(e)
+	}
+	res, err := rt.Run(*insts)
 	if err != nil {
 		fail(err)
 	}
+	if *ckptSave != "" {
+		if e := mct.SaveCheckpoint(*ckptSave, m); e != nil {
+			fail(e)
+		}
+		fmt.Fprintf(os.Stderr, "checkpoint saved to %s\n", *ckptSave)
+	}
+	m.SyncObserver()
 
 	name := *bench
-	if *mix != "" {
+	switch {
+	case *ckptLoad != "":
+		name = *ckptLoad
+	case *mix != "":
 		name = *mix
 	}
 	fmt.Printf("MCT on %s (%d instructions, %gy lifetime target, model %s)\n\n", name, *insts, *lifetime, *model)

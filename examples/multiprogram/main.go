@@ -49,7 +49,7 @@ func main() {
 		}
 		ro := mct.DefaultRuntimeOptions()
 		ro.WarmupAccesses = 240_000
-		rt, err := mct.NewMultiRuntime(ctx, mm, mct.DefaultObjective(8), mct.WithRuntimeOptions(ro))
+		rt, err := mct.NewRuntime(ctx, mm, mct.DefaultObjective(8), mct.WithRuntimeOptions(ro))
 		if err != nil {
 			log.Fatal(err)
 		}

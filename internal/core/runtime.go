@@ -203,8 +203,7 @@ type Result struct {
 }
 
 // System is the machine abstraction MCT controls: windowed execution plus
-// online reconfiguration. *sim.Machine satisfies it directly; use
-// MultiSystem for *sim.MultiMachine.
+// online reconfiguration. *sim.Machine satisfies it at any core count.
 type System interface {
 	RunInstructions(n uint64) sim.Metrics
 	SetConfig(cfg config.Config) error
@@ -214,36 +213,6 @@ type System interface {
 	// caches produce no writebacks and meaningless lifetime samples).
 	Warmup(n int) uint64
 }
-
-// MultiSystem adapts a multi-core machine to the System interface (its
-// window IPC is the geometric mean of per-core IPCs).
-type MultiSystem struct {
-	MM *sim.MultiMachine
-}
-
-// RunInstructions implements System. The window's IPC is the geometric
-// mean of per-core IPCs; CPUCycles is rescaled so that
-// Instructions/CPUCycles equals that IPC — aggregating such windows in a
-// sim.Accum then reproduces an instruction-weighted blend of the geomean
-// (instead of silently switching to a throughput-over-wallclock metric,
-// which is ~Cores× larger and not comparable to single-run geomeans).
-func (a MultiSystem) RunInstructions(n uint64) sim.Metrics {
-	mm := a.MM.RunInstructions(n)
-	m := mm.Metrics
-	if m.IPC > 0 {
-		m.CPUCycles = float64(m.Instructions) / m.IPC
-	}
-	return m
-}
-
-// SetConfig implements System.
-func (a MultiSystem) SetConfig(cfg config.Config) error { return a.MM.SetConfig(cfg) }
-
-// Options implements System.
-func (a MultiSystem) Options() sim.Options { return a.MM.Options() }
-
-// Warmup implements System.
-func (a MultiSystem) Warmup(n int) uint64 { return a.MM.Warmup(n) }
 
 // Runtime drives MCT over a live machine.
 type Runtime struct {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"mct/internal/config"
@@ -188,7 +189,8 @@ func TestPhaseDetectionTriggersRelearning(t *testing.T) {
 	}
 }
 
-func TestMultiSystemAdapter(t *testing.T) {
+// TestMultiCoreSystem: a multi-core machine is a System as it stands.
+func TestMultiCoreSystem(t *testing.T) {
 	specs, err := trace.MixByName("mix1")
 	if err != nil {
 		t.Fatal(err)
@@ -197,14 +199,19 @@ func TestMultiSystemAdapter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys := MultiSystem{MM: mm}
+	var sys System = mm
 	if sys.Options().CacheBytes != 8<<20 {
-		t.Fatal("adapter options wrong")
+		t.Fatal("multi-core options wrong")
 	}
 	sys.Warmup(50_000)
 	w := sys.RunInstructions(100_000)
 	if w.Instructions == 0 || w.IPC <= 0 {
-		t.Fatalf("adapter run produced %+v", w)
+		t.Fatalf("multi-core run produced %+v", w)
+	}
+	// The window's CPUCycles is rescaled so an Accum over such windows
+	// blends the per-core geomean IPC.
+	if got := float64(w.Instructions) / w.CPUCycles; math.Abs(got-w.IPC) > 1e-12*w.IPC {
+		t.Fatalf("Instructions/CPUCycles = %v, want the geomean IPC %v", got, w.IPC)
 	}
 	if err := sys.SetConfig(config.Default()); err != nil {
 		t.Fatal(err)

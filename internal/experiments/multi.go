@@ -16,8 +16,8 @@ import (
 type MultiProgramResult struct {
 	Mix     string
 	Members []string
-	Default sim.MultiMetrics
-	Static  sim.MultiMetrics
+	Default sim.Metrics
+	Static  sim.Metrics
 	MCT     sim.Metrics
 	Chosen  config.Config
 }
@@ -58,10 +58,10 @@ func MultiProgram(ctx context.Context, mixes []string, totalInsts uint64, opt Op
 				names = append(names, s.Name)
 			}
 
-			runStatic := func(cfg config.Config) (sim.MultiMetrics, error) {
+			runStatic := func(cfg config.Config) (sim.Metrics, error) {
 				mm, err := sim.NewMultiMachine(specs, cfg, mo)
 				if err != nil {
-					return sim.MultiMetrics{}, err
+					return sim.Metrics{}, err
 				}
 				mm.Warmup(multiWarmupAccesses)
 				return mm.RunInstructions(totalInsts), nil
@@ -81,7 +81,7 @@ func MultiProgram(ctx context.Context, mixes []string, totalInsts uint64, opt Op
 			}
 			ro := runtimeOptionsFor(ml.NameGBoost, totalInsts, opt.Seed)
 			ro.WarmupAccesses = multiWarmupAccesses
-			rt, err := core.New(core.MultiSystem{MM: mm}, obj, ro)
+			rt, err := core.New(mm, obj, ro)
 			if err != nil {
 				return MultiProgramResult{}, err
 			}

@@ -19,6 +19,7 @@ import (
 	"testing"
 
 	"mct/internal/config"
+	"mct/internal/trace"
 )
 
 const goldenMetricsFile = "testdata/golden_default_pipeline.txt"
@@ -98,4 +99,56 @@ func TestDefaultPipelineGolden(t *testing.T) {
 	if got != string(want) {
 		t.Errorf("default two-tier pipeline drifted from the pre-refactor golden\n--- want:\n%s--- got:\n%s", want, got)
 	}
+}
+
+const goldenMultiFile = "testdata/golden_multi_pipeline.txt"
+
+// renderMultiGolden produces the multi-core golden text: mix1 on the
+// 4-core system after a 240k-access warmup, two RunInstructions windows,
+// once NVM-only and once with the DRAM tier interposed.
+func renderMultiGolden(t *testing.T) string {
+	t.Helper()
+	g := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
+	var b strings.Builder
+	for _, tiers := range []config.TierConfig{{}, {DRAMCache: true}} {
+		opt := DefaultMultiOptions()
+		opt.Tiers = tiers
+		m, err := NewMultiMachine(mustMix(t, "mix1"), config.StaticBaseline(), opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.Warmup(240_000)
+		for w := 0; w < 2; w++ {
+			mt := m.RunInstructions(400_000)
+			fmt.Fprintf(&b, "dram=%v window[%d]\n%s", tiers.DRAMCache, w, formatMetrics(mt))
+			fmt.Fprintf(&b, "  dram hits=%d misses=%d write_hits=%d eager_absorbed=%d promotions=%d writebacks=%d hit_rate=%s\n",
+				mt.DRAMHits, mt.DRAMMisses, mt.DRAMWriteHits, mt.DRAMEagerAbsorbed, mt.DRAMPromotions, mt.DRAMWritebacks, g(mt.DRAMHitRate))
+		}
+	}
+	return b.String()
+}
+
+// TestMultiPipelineGolden pins the multi-core path. The golden was captured
+// from the separate 4-core machine that predates the one-machine step loop,
+// with one behaviour change applied to it: eager victims are harvested on
+// LLC hits too, as the single-core step always did. Its windows carry the
+// CPUCycles rescale the runtime adapter applied, and LLC/row hit rates
+// computed as the single-core window does.
+func TestMultiPipelineGolden(t *testing.T) {
+	want, err := os.ReadFile(goldenMultiFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := renderMultiGolden(t); got != string(want) {
+		t.Errorf("multi-core pipeline drifted from its golden\n--- want:\n%s--- got:\n%s", want, got)
+	}
+}
+
+func mustMix(t *testing.T, mix string) []trace.Spec {
+	t.Helper()
+	specs, err := trace.MixByName(mix)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return specs
 }

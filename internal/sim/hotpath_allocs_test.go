@@ -53,7 +53,7 @@ func BenchmarkBatchedStepLoop(b *testing.B) {
 		if rem := b.N - done; k > rem {
 			k = rem
 		}
-		m.gen.Fill(buf[:k])
+		m.cores[0].gen.Fill(buf[:k])
 		m.StepBatch(buf[:k])
 		done += k
 	}
@@ -76,7 +76,7 @@ func TestBatchedStepLoopZeroAllocs(t *testing.T) {
 	m.RunAccesses(100_000)
 	buf := m.batchBuf()
 	avg := testing.AllocsPerRun(10, func() {
-		m.gen.Fill(buf)
+		m.cores[0].gen.Fill(buf)
 		m.StepBatch(buf)
 	})
 	if avg != 0 {
@@ -108,7 +108,7 @@ func BenchmarkTieredBatchedStepLoop(b *testing.B) {
 		if rem := b.N - done; k > rem {
 			k = rem
 		}
-		m.gen.Fill(buf[:k])
+		m.cores[0].gen.Fill(buf[:k])
 		m.StepBatch(buf[:k])
 		done += k
 	}
@@ -136,7 +136,7 @@ func TestTieredBatchedStepLoopZeroAllocs(t *testing.T) {
 	}
 	buf := m.batchBuf()
 	avg := testing.AllocsPerRun(10, func() {
-		m.gen.Fill(buf)
+		m.cores[0].gen.Fill(buf)
 		m.StepBatch(buf)
 	})
 	if avg != 0 {

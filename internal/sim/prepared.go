@@ -84,7 +84,7 @@ func Prepare(benchmark string, warmup, measure int, opt Options) (*Prepared, err
 		warmup:   warmup,
 		nMeasure: measure,
 		warm:     m,
-		genState: m.gen.Snapshot(),
+		genState: m.cores[0].gen.Snapshot(),
 	}, nil
 }
 
@@ -106,16 +106,19 @@ func PreparedFromMachine(m *Machine, warmup, measure int) (*Prepared, error) {
 	if measure <= 0 {
 		return nil, fmt.Errorf("sim: non-positive measurement length %d", measure)
 	}
+	if len(m.cores) != 1 {
+		return nil, fmt.Errorf("sim: a prepared workload is single-core, the machine has %d cores", len(m.cores))
+	}
 	if warmup <= 0 {
 		warmup = DefaultWarmupAccesses
 	}
 	return &Prepared{
-		Spec:     m.gen.Spec(),
+		Spec:     m.cores[0].gen.Spec(),
 		opt:      m.opt,
 		warmup:   warmup,
 		nMeasure: measure,
 		warm:     m,
-		genState: m.gen.Snapshot(),
+		genState: m.cores[0].gen.Snapshot(),
 	}, nil
 }
 
@@ -175,28 +178,9 @@ func (p *Prepared) measure(m *Machine) (Metrics, error) {
 // accounting — run it once before measuring so the LLC and controller reach
 // steady state. It returns the instructions executed.
 func (m *Machine) Warmup(n int) uint64 {
-	before := m.insts
+	before := m.Instructions()
 	m.runOwn(n)
 	m.settleHierarchy()
 	m.beginWindow()
-	return m.insts - before
-}
-
-// Warmup advances every core round-robin for a total of n accesses and
-// resets window accounting.
-func (m *MultiMachine) Warmup(n int) uint64 {
-	var before uint64
-	for _, v := range m.insts {
-		before += v
-	}
-	for i := 0; i < n; i++ {
-		m.stepCore()
-	}
-	m.settleHierarchy()
-	m.beginWindow()
-	var after uint64
-	for _, v := range m.insts {
-		after += v
-	}
-	return after - before
+	return m.Instructions() - before
 }

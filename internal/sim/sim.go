@@ -16,6 +16,7 @@ import (
 	"mct/internal/hierarchy"
 	"mct/internal/nvm"
 	"mct/internal/rng"
+	"mct/internal/stats"
 	"mct/internal/trace"
 )
 
@@ -175,13 +176,17 @@ type Metrics struct {
 // §4.1.2.
 func (m Metrics) Vector() [3]float64 { return [3]float64{m.IPC, m.LifetimeYears, m.EnergyJ} }
 
-// Machine is a persistent simulated system executing one workload. It
-// supports online reconfiguration (SetConfig) and windowed execution, which
-// is what the MCT runtime drives during sampling and testing periods.
+// Machine is a persistent simulated system: one or more cores, each
+// running its own workload, in front of one shared LLC→(DRAM)→NVM
+// hierarchy. It supports online reconfiguration (SetConfig) and windowed
+// execution, which is what the MCT runtime drives during sampling and
+// testing periods.
 type Machine struct {
 	opt Options
-	gen *trace.Generator
-	llc *cache.Cache
+	// cores holds each core's workload and clock: one for NewMachine, one
+	// per program of a multi-programmed mix for NewMultiMachine (§6.2.5).
+	cores []coreState
+	llc   *cache.Cache
 	// dram is the optional DRAM cache tier (opt.Tiers.DRAMCache); nil on
 	// the stock NVM-only hierarchy.
 	dram *dram.Cache
@@ -191,15 +196,11 @@ type Machine struct {
 	// drives the hierarchy through this seam only.
 	mem hierarchy.Mem
 
-	cpuCycles float64 // CPU cycles elapsed
-	insts     uint64
-
-	// window bookkeeping
-	winStartCycles float64
-	winStartInsts  uint64
-	winStartStats  nvm.Stats
-	winStartCache  cache.Stats
-	winStartDRAM   dram.Stats
+	// window bookkeeping of the shared hierarchy (each core marks its own
+	// clock)
+	winStartStats nvm.Stats
+	winStartCache cache.Stats
+	winStartDRAM  dram.Stats
 
 	// obsv is the optional observer (AttachObserver); nil means no
 	// instrumentation and zero overhead.
@@ -212,6 +213,17 @@ type Machine struct {
 	// state: absent from MachineState, and its contents are meaningless
 	// between runs.
 	batch []trace.Access
+}
+
+// coreState is one core's private state: its workload generator, its clock
+// and committed instructions, and both of those at the start of the
+// current measurement window.
+type coreState struct {
+	gen            *trace.Generator
+	cycles         float64
+	insts          uint64
+	winStartCycles float64
+	winStartInsts  uint64
 }
 
 // StepBatchSize is the batch granularity of the streaming run loops: large
@@ -229,8 +241,43 @@ func (m *Machine) batchBuf() []trace.Access {
 	return m.batch
 }
 
-// NewMachine builds a machine running spec under cfg.
+// NewMachine builds a single-core machine running spec under cfg.
 func NewMachine(spec trace.Spec, cfg config.Config, opt Options) (*Machine, error) {
+	return newMachine([]*trace.Generator{trace.NewGenerator(spec, rng.NewRand(opt.Seed))}, cfg, opt)
+}
+
+// DefaultMultiOptions returns the paper's 4-core system (§6.2.5):
+// independent L1/L2 per core (abstracted into the per-core trace), a shared
+// 8 MB LLC and an 8 GB, 32-bank resistive main memory.
+func DefaultMultiOptions() Options {
+	o := DefaultOptions()
+	o.CacheBytes = 8 << 20
+	o.Params.Banks = 32
+	o.Params.LinesPerBank = 8 << 30 / 32 / 64
+	// Shared-memory write-power budget scales with the larger module.
+	o.Params.MaxConcurrentWrites = 8
+	return o
+}
+
+// coreAddrStride separates per-core address spaces (16 GB apart).
+const coreAddrStride = 1 << 34
+
+// NewMultiMachine builds a multi-programmed machine under cfg: one core
+// per spec, each with its own address space and random stream, sharing
+// the hierarchy opt describes (DefaultMultiOptions is the paper's).
+func NewMultiMachine(specs []trace.Spec, cfg config.Config, opt Options) (*Machine, error) {
+	if len(specs) == 0 {
+		return nil, fmt.Errorf("sim: a multi-core machine needs at least one workload")
+	}
+	gens := make([]*trace.Generator, len(specs))
+	for i, spec := range specs {
+		gens[i] = trace.NewGeneratorAt(spec, rng.DeriveRand(opt.Seed, int64(i)), uint64(i)*coreAddrStride)
+	}
+	return newMachine(gens, cfg, opt)
+}
+
+// newMachine builds a machine with one core per generator.
+func newMachine(gens []*trace.Generator, cfg config.Config, opt Options) (*Machine, error) {
 	if err := opt.Validate(); err != nil {
 		return nil, err
 	}
@@ -243,11 +290,14 @@ func NewMachine(spec trace.Spec, cfg config.Config, opt Options) (*Machine, erro
 		return nil, err
 	}
 	m := &Machine{
-		opt:  opt,
-		gen:  trace.NewGenerator(spec, rng.NewRand(opt.Seed)),
-		llc:  llc,
-		ctrl: ctrl,
-		mem:  ctrl,
+		opt:   opt,
+		cores: make([]coreState, len(gens)),
+		llc:   llc,
+		ctrl:  ctrl,
+		mem:   ctrl,
+	}
+	for i, g := range gens {
+		m.cores[i].gen = g
 	}
 	if opt.Tiers.DRAMCache {
 		d, err := dram.New(opt.dramParams(), ctrl)
@@ -270,11 +320,23 @@ func (m *Machine) Options() Options { return m.opt }
 // SetConfig reconfigures the NVM controller in place.
 func (m *Machine) SetConfig(cfg config.Config) error { return m.ctrl.SetConfig(cfg) }
 
-// Instructions returns total committed instructions.
-func (m *Machine) Instructions() uint64 { return m.insts }
+// Instructions returns the instructions committed by all cores.
+func (m *Machine) Instructions() uint64 {
+	var n uint64
+	for i := range m.cores {
+		n += m.cores[i].insts
+	}
+	return n
+}
 
-// CPUCycles returns total elapsed CPU cycles.
-func (m *Machine) CPUCycles() float64 { return m.cpuCycles }
+// CPUCycles returns the elapsed CPU cycles of the most advanced core.
+func (m *Machine) CPUCycles() float64 {
+	var c float64
+	for i := range m.cores {
+		c = max(c, m.cores[i].cycles)
+	}
+	return c
+}
 
 // Controller exposes the NVM controller (diagnostics and tests).
 func (m *Machine) Controller() *nvm.Controller { return m.ctrl }
@@ -312,46 +374,50 @@ func (m *Machine) dramStats() dram.Stats {
 }
 
 func (m *Machine) beginWindow() {
-	m.winStartCycles = m.cpuCycles
-	m.winStartInsts = m.insts
+	for i := range m.cores {
+		c := &m.cores[i]
+		c.winStartCycles = c.cycles
+		c.winStartInsts = c.insts
+	}
 	m.winStartStats = m.ctrl.Stats()
 	m.winStartCache = m.llc.Stats()
 	m.winStartDRAM = m.dramStats()
 }
 
-func (m *Machine) memNow() uint64 {
-	return uint64(m.cpuCycles / m.opt.CPUCyclesPerMemCycle)
+// memNow is core c's clock in memory cycles.
+func (m *Machine) memNow(c *coreState) uint64 {
+	return uint64(c.cycles / m.opt.CPUCyclesPerMemCycle)
 }
 
-// step executes one trace access. It is the simulator's inner loop: the
-// hotpath directive below makes every function it reaches subject to the
-// allochot allocation audit.
+// step executes one trace access on core c. It is the simulator's inner
+// loop: the hotpath directive below makes every function it reaches
+// subject to the allochot allocation audit.
 //
 //mctlint:hotpath
-func (m *Machine) step(a trace.Access) {
+func (m *Machine) step(c *coreState, a trace.Access) {
 	o := &m.opt
-	m.cpuCycles += float64(a.InstGap) * o.BaseCPI
-	m.insts += uint64(a.InstGap)
+	c.cycles += float64(a.InstGap) * o.BaseCPI
+	c.insts += uint64(a.InstGap)
 
 	res := m.llc.Access(a.Addr, a.Write)
 	if res.Hit {
-		m.cpuCycles += o.LLCHitCycles
+		c.cycles += o.LLCHitCycles
 	} else {
-		now := m.memNow()
+		now := m.memNow(c)
 		if res.Writeback {
 			accepted := m.mem.Write(res.WritebackAddr, now)
 			if accepted > now {
 				// Write-queue backpressure fully stalls the core.
-				m.cpuCycles += float64(accepted-now) * o.CPUCyclesPerMemCycle
+				c.cycles += float64(accepted-now) * o.CPUCyclesPerMemCycle
 				now = accepted
 			}
 		}
 		done := m.mem.Read(res.FillAddr, now)
 		latCPU := float64(done-now) * o.CPUCyclesPerMemCycle
 		if a.Write {
-			m.cpuCycles += latCPU * o.StoreStallFactor
+			c.cycles += latCPU * o.StoreStallFactor
 		} else {
-			m.cpuCycles += latCPU * o.ReadStallFactor
+			c.cycles += latCPU * o.ReadStallFactor
 		}
 	}
 
@@ -362,42 +428,66 @@ func (m *Machine) step(a trace.Access) {
 		useless := m.llc.UselessPositions(cfg.EagerThreshold)
 		if useless > 0 {
 			if addr, ok := m.llc.NextEagerVictim(useless, o.EagerScanSets); ok {
-				m.mem.EagerWrite(addr, m.memNow())
+				m.mem.EagerWrite(addr, m.memNow(c))
 			}
 		}
 	}
 }
 
-// StepBatch executes a batch of trace accesses. It is the batched inner
-// loop of streaming simulation — together with trace.Source.Fill it forms
-// the steady-state hot path, which must stay allocation-free.
+// next is the core scheduler: the least-advanced core steps next (the
+// lowest index on ties), so cores advance in near-lockstep and the shared
+// hierarchy sees their accesses in clock order. With one core it is
+// always core 0.
+func (m *Machine) next() *coreState {
+	c := &m.cores[0]
+	for i := 1; i < len(m.cores); i++ {
+		if m.cores[i].cycles < c.cycles {
+			c = &m.cores[i]
+		}
+	}
+	return c
+}
+
+// StepBatch executes a batch of trace accesses on core 0. It is the
+// batched inner loop of streaming simulation — together with
+// trace.Source.Fill it forms the steady-state hot path, which must stay
+// allocation-free.
 //
 //mctlint:hotpath
 func (m *Machine) StepBatch(batch []trace.Access) {
+	c := &m.cores[0]
 	for i := range batch {
-		m.step(batch[i])
+		m.step(c, batch[i])
 	}
 }
 
-// runOwn streams n accesses from the machine's own generator through the
-// step loop, refilling the reusable batch buffer in place. The access
-// stream is byte-identical to n individual gen.Next/step pairs (the Fill
-// batch-size-invariance contract).
+// runOwn steps n accesses from the cores' own generators. A single core
+// streams its generator through the reusable batch buffer — byte-identical
+// to n individual gen.Next/step pairs (the Fill batch-size-invariance
+// contract). Several cores step one access at a time, as the scheduler
+// picks them.
 func (m *Machine) runOwn(n int) {
+	if len(m.cores) > 1 {
+		for ; n > 0; n-- {
+			c := m.next()
+			m.step(c, c.gen.Next())
+		}
+		return
+	}
 	buf := m.batchBuf()
 	for n > 0 {
 		k := len(buf)
 		if k > n {
 			k = n
 		}
-		m.gen.Fill(buf[:k])
+		m.cores[0].gen.Fill(buf[:k])
 		m.StepBatch(buf[:k])
 		n -= k
 	}
 }
 
-// runSource streams src to exhaustion through the step loop via the
-// reusable batch buffer.
+// runSource streams src to exhaustion through core 0 via the reusable
+// batch buffer.
 func (m *Machine) runSource(src trace.Source) {
 	buf := m.batchBuf()
 	for {
@@ -438,18 +528,20 @@ func (m *Machine) RunInstructions(n uint64) Metrics {
 	return m.windowMetrics()
 }
 
-// StepInstructions executes trace accesses until at least n more
-// instructions have committed, without touching window accounting. Because
-// the stop condition is a target instruction count and stepping is
-// per-access, splitting a run into chunks produces the identical access
-// stream as one straight run: StepInstructions(a) then StepInstructions(b)
-// steps exactly the accesses of StepInstructions(a+b). Combined with
+// StepInstructions executes trace accesses until the cores have committed
+// at least n more instructions in total, without touching window
+// accounting. The scheduler picks the core of each access, so every core
+// contributes in proportion to its speed. Because the stop condition is a
+// target instruction count and stepping is per-access, splitting a run
+// into chunks steps the identical access stream as one straight run to the
+// same target (each chunk asking for what remains of it). Combined with
 // checkpoints — window-start markers ride MachineState — this is what lets
 // a resumed run finish byte-identical to an uninterrupted one.
 func (m *Machine) StepInstructions(n uint64) {
-	target := m.insts + n
-	for m.insts < target {
-		m.step(m.gen.Next())
+	target := m.Instructions() + n
+	for m.Instructions() < target {
+		c := m.next()
+		m.step(c, c.gen.Next())
 	}
 }
 
@@ -460,31 +552,73 @@ func (m *Machine) WindowMetrics() Metrics { return m.windowMetrics() }
 // WindowInstructions returns the instructions committed in the current
 // measurement window. A resumed run uses it to compute how many
 // instructions of its target remain.
-func (m *Machine) WindowInstructions() uint64 { return m.insts - m.winStartInsts }
-
-// windowMetrics computes metrics for the current window (since the last
-// beginWindow) without ending it.
-func (m *Machine) windowMetrics() Metrics {
-	st := m.ctrl.Stats()
-	cs := m.llc.Stats()
-	ds := m.dramStats()
-	if m.obsv != nil {
-		m.obsv.publish(cs, st, ds, true)
+func (m *Machine) WindowInstructions() uint64 {
+	var n uint64
+	for i := range m.cores {
+		n += m.cores[i].insts - m.cores[i].winStartInsts
 	}
-	return m.metricsBetween(m.winStartCycles, m.winStartInsts, m.winStartStats, m.winStartCache, m.winStartDRAM, st, cs, ds)
+	return n
 }
 
-func (m *Machine) metricsBetween(c0 float64, i0 uint64, s0 nvm.Stats, llc0 cache.Stats, d0 dram.Stats, s1 nvm.Stats, llc1 cache.Stats, d1 dram.Stats) Metrics {
+// windowCoreIPC returns each core's IPC over the current window, 0 for a
+// core that has not run in it.
+func (m *Machine) windowCoreIPC() []float64 {
+	ipc := make([]float64, len(m.cores))
+	for i := range m.cores {
+		c := &m.cores[i]
+		if dC := c.cycles - c.winStartCycles; dC > 0 {
+			ipc[i] = float64(c.insts-c.winStartInsts) / dC
+		}
+	}
+	return ipc
+}
+
+// windowMetrics computes metrics for the current window (since the last
+// beginWindow) without ending it. The window's wall clock is the slowest
+// core's cycle delta. With several cores, IPC is the geometric mean of the
+// per-core IPCs (the paper's multi-program performance measure), and
+// CPUCycles is rescaled so that Instructions/CPUCycles equals it: an
+// Accum over such windows then reproduces an instruction-weighted
+// blend of the geomean, not a throughput that is ~cores× larger.
+func (m *Machine) windowMetrics() Metrics {
 	o := &m.opt
-	dCycles := m.cpuCycles - c0
-	dInsts := m.insts - i0
+	s0, llc0, d0 := m.winStartStats, m.winStartCache, m.winStartDRAM
+	s1, llc1, d1 := m.ctrl.Stats(), m.llc.Stats(), m.dramStats()
+	if m.obsv != nil {
+		m.obsv.publish(llc1, s1, d1, true)
+	}
+
+	var dCycles float64
+	var dInsts uint64
+	for i := range m.cores {
+		c := &m.cores[i]
+		dCycles = max(dCycles, c.cycles-c.winStartCycles)
+		dInsts += c.insts - c.winStartInsts
+	}
 	seconds := dCycles / o.CPUCyclesPerMemCycle / o.Params.MemCyclesPerSec
 
 	var mt Metrics
 	mt.Instructions = dInsts
 	mt.CPUCycles = dCycles
-	if dCycles > 0 {
-		mt.IPC = float64(dInsts) / dCycles
+	if len(m.cores) == 1 {
+		if dCycles > 0 {
+			mt.IPC = float64(dInsts) / dCycles
+		}
+	} else {
+		// Cores that executed nothing in the window (e.g. still recovering
+		// from a long stall that overshot it) have undefined performance
+		// here, not zero: leaving them out keeps the geomean meaningful
+		// for short windows.
+		var active []float64
+		for _, ipc := range m.windowCoreIPC() {
+			if ipc > 0 {
+				active = append(active, ipc)
+			}
+		}
+		mt.IPC = stats.GeoMean(active)
+		if mt.IPC > 0 {
+			mt.CPUCycles = float64(dInsts) / mt.IPC
+		}
 	}
 	mt.Seconds = seconds
 
@@ -522,6 +656,9 @@ func (m *Machine) metricsBetween(c0 float64, i0 uint64, s0 nvm.Stats, llc0 cache
 	mt.FastWrites = dst.FastWrites
 	mt.QueueFullStalls = dst.QueueFullStalls
 
+	// CPU static power scales with the core count.
+	em := o.Energy
+	em.CPUStaticPower *= float64(len(m.cores))
 	if m.dram != nil {
 		dd := diffDRAM(d0, d1)
 		mt.DRAMHits = dd.Hits
@@ -531,9 +668,9 @@ func (m *Machine) metricsBetween(c0 float64, i0 uint64, s0 nvm.Stats, llc0 cache
 		mt.DRAMPromotions = dd.Promotions
 		mt.DRAMWritebacks = dd.Writebacks
 		mt.DRAMHitRate = dd.HitRate()
-		mt.Energy = o.Energy.ComputeTiered(dInsts, seconds, dst, dramReads(dd), dramWrites(dd))
+		mt.Energy = em.ComputeTiered(dInsts, seconds, dst, dramReads(dd), dramWrites(dd))
 	} else {
-		mt.Energy = o.Energy.Compute(dInsts, seconds, dst)
+		mt.Energy = em.Compute(dInsts, seconds, dst)
 	}
 	mt.EnergyJ = mt.Energy.Total()
 	mt.WritesByRatio = dst.WritesByRatio
@@ -594,11 +731,14 @@ func diffStats(s0, s1 nvm.Stats) nvm.Stats {
 
 // finishRun drains the memory hierarchy — dirty DRAM-tier lines flush to
 // NVM, then queued writes retire — so their wear and energy are charged
-// to the run, advancing the CPU clock if the drain outlasts it.
+// to the run. The drain starts at the most advanced core's clock, and
+// every core's clock then catches up to where it ends.
 func (m *Machine) finishRun() {
-	final := m.mem.Drain(m.memNow())
-	if f := float64(final) * m.opt.CPUCyclesPerMemCycle; f > m.cpuCycles {
-		m.cpuCycles = f
+	clock := m.CPUCycles()
+	final := m.mem.Drain(uint64(clock / m.opt.CPUCyclesPerMemCycle))
+	clock = max(clock, float64(final)*m.opt.CPUCyclesPerMemCycle)
+	for i := range m.cores {
+		m.cores[i].cycles = max(m.cores[i].cycles, clock)
 	}
 }
 
@@ -613,29 +753,6 @@ func (m *Machine) settleHierarchy() {
 		return
 	}
 	m.finishRun()
-}
-
-// settleHierarchy is the multi-core analog: after the flush, every core's
-// clock catches up to the drain point.
-func (m *MultiMachine) settleHierarchy() {
-	if m.dram == nil {
-		return
-	}
-	var maxCycles float64
-	for _, c := range m.cpuCycles {
-		if c > maxCycles {
-			maxCycles = c
-		}
-	}
-	final := m.mem.Drain(uint64(maxCycles / m.opt.CPUCyclesPerMemCycle))
-	if f := float64(final) * m.opt.CPUCyclesPerMemCycle; f > maxCycles {
-		maxCycles = f
-	}
-	for i := range m.cpuCycles {
-		if m.cpuCycles[i] < maxCycles {
-			m.cpuCycles[i] = maxCycles
-		}
-	}
 }
 
 // EvaluateSource streams src to exhaustion on a fresh machine under cfg and

@@ -3,10 +3,10 @@
 // (pausable/resumable long runs).
 //
 // The snapshot contract (see DESIGN.md): Clone shares nothing mutable with
-// its parent — every layer (trace generator incl. PRNG position, LLC, NVM
-// controller, window bookkeeping stats) is deep-copied, so a clone replayed
-// over the same accesses produces byte-identical metrics while the parent
-// stays frozen.
+// its parent — every layer (each core's trace generator incl. PRNG
+// position and clock, the shared LLC, DRAM tier and NVM controller, window
+// bookkeeping stats) is deep-copied, so a clone replayed over the same
+// accesses produces byte-identical metrics while the parent stays frozen.
 package sim
 
 import (
@@ -34,7 +34,11 @@ func (m *Machine) Clone() *Machine {
 	// header would share the backing array, a data race under concurrent
 	// Prepared.Evaluate.
 	n.batch = nil
-	n.gen = m.gen.Clone()
+	n.cores = make([]coreState, len(m.cores))
+	for i, c := range m.cores {
+		c.gen = c.gen.Clone()
+		n.cores[i] = c
+	}
 	n.llc = m.llc.Clone()
 	n.ctrl = m.ctrl.Clone()
 	// Rebuild the tier chain bottom-up onto the cloned controller so the
@@ -47,33 +51,6 @@ func (m *Machine) Clone() *Machine {
 	n.winStartStats = m.winStartStats.Clone()
 	n.winStartCache = m.winStartCache.Clone()
 	n.winStartDRAM = m.winStartDRAM.Clone()
-	if m.obsv != nil {
-		n.obsv = m.obsv.clone()
-	}
-	return &n
-}
-
-// Clone returns an independent deep copy of the multi-core machine: per-core
-// generators and clocks, shared LLC and controller, window bookkeeping.
-func (m *MultiMachine) Clone() *MultiMachine {
-	n := *m
-	n.gens = make([]*trace.Generator, len(m.gens))
-	for i, g := range m.gens {
-		n.gens[i] = g.Clone()
-	}
-	n.llc = m.llc.Clone()
-	n.ctrl = m.ctrl.Clone()
-	n.mem = hierarchy.Mem(n.ctrl)
-	if m.dram != nil {
-		n.dram = m.dram.Clone(n.ctrl)
-		n.mem = n.dram
-	}
-	n.winStartDRAM = m.winStartDRAM.Clone()
-	n.cpuCycles = append([]float64(nil), m.cpuCycles...)
-	n.insts = append([]uint64(nil), m.insts...)
-	n.winStartCycles = append([]float64(nil), m.winStartCycles...)
-	n.winStartInsts = append([]uint64(nil), m.winStartInsts...)
-	n.winStartStats = m.winStartStats.Clone()
 	if m.obsv != nil {
 		n.obsv = m.obsv.clone()
 	}
@@ -109,6 +86,45 @@ type MachineState struct {
 	// meaning. WinStartDRAM rides along the same way (zero for them).
 	DRAM         *dram.Snapshot
 	WinStartDRAM dram.Stats
+
+	// Cores holds cores 1..N-1 of a multi-core machine; core 0 rides the
+	// scalar Gen/CPUCycles/Insts/WinStart* fields above. Gob-additive like
+	// Obs: single-core machines, and checkpoints written before multi-core
+	// machines were checkpointable, carry none — one core, exactly their
+	// meaning.
+	Cores []CoreState
+}
+
+// CoreState is the serializable state of one core of a multi-core machine.
+type CoreState struct {
+	Gen            trace.GeneratorState
+	CPUCycles      float64
+	Insts          uint64
+	WinStartCycles float64
+	WinStartInsts  uint64
+}
+
+func (c *coreState) snapshot() CoreState {
+	return CoreState{
+		Gen:            c.gen.Snapshot(),
+		CPUCycles:      c.cycles,
+		Insts:          c.insts,
+		WinStartCycles: c.winStartCycles,
+		WinStartInsts:  c.winStartInsts,
+	}
+}
+
+func restoreCore(st CoreState) (coreState, error) {
+	if len(st.Gen.Spec.Phases) == 0 {
+		return coreState{}, fmt.Errorf("generator has no phases")
+	}
+	return coreState{
+		gen:            trace.FromState(st.Gen),
+		cycles:         st.CPUCycles,
+		insts:          st.Insts,
+		winStartCycles: st.WinStartCycles,
+		winStartInsts:  st.WinStartInsts,
+	}, nil
 }
 
 // Snapshot captures the machine's complete state. Pending window deltas
@@ -129,20 +145,26 @@ func (m *Machine) Snapshot() MachineState {
 		s := m.dram.Snapshot()
 		dramState = &s
 	}
+	var extra []CoreState
+	for i := 1; i < len(m.cores); i++ {
+		extra = append(extra, m.cores[i].snapshot())
+	}
+	c0 := m.cores[0].snapshot()
 	return MachineState{
 		Obs:            obsState,
 		DRAM:           dramState,
 		Options:        m.opt,
-		Gen:            m.gen.Snapshot(),
+		Gen:            c0.Gen,
 		LLC:            m.llc.Snapshot(),
 		Ctrl:           m.ctrl.Snapshot(),
-		CPUCycles:      m.cpuCycles,
-		Insts:          m.insts,
-		WinStartCycles: m.winStartCycles,
-		WinStartInsts:  m.winStartInsts,
+		CPUCycles:      c0.CPUCycles,
+		Insts:          c0.Insts,
+		WinStartCycles: c0.WinStartCycles,
+		WinStartInsts:  c0.WinStartInsts,
 		WinStartStats:  m.winStartStats.Clone(),
 		WinStartCache:  m.winStartCache.Clone(),
 		WinStartDRAM:   m.winStartDRAM.Clone(),
+		Cores:          extra,
 	}
 }
 
@@ -163,25 +185,25 @@ func RestoreMachine(st MachineState) (*Machine, error) {
 	if err != nil {
 		return nil, fmt.Errorf("sim: checkpoint controller: %w", err)
 	}
-	if len(st.Gen.Spec.Phases) == 0 {
-		return nil, fmt.Errorf("sim: checkpoint generator has no phases")
-	}
 	if st.Options.Tiers.DRAMCache != (st.DRAM != nil) {
 		return nil, fmt.Errorf("sim: checkpoint tier composition disagrees with machine options")
 	}
+	core0 := CoreState{Gen: st.Gen, CPUCycles: st.CPUCycles, Insts: st.Insts, WinStartCycles: st.WinStartCycles, WinStartInsts: st.WinStartInsts}
+	cores := make([]coreState, 1+len(st.Cores))
+	for i, cs := range append([]CoreState{core0}, st.Cores...) {
+		if cores[i], err = restoreCore(cs); err != nil {
+			return nil, fmt.Errorf("sim: checkpoint core %d: %w", i, err)
+		}
+	}
 	m := &Machine{
-		opt:            st.Options,
-		gen:            trace.FromState(st.Gen),
-		llc:            llc,
-		ctrl:           ctrl,
-		mem:            ctrl,
-		cpuCycles:      st.CPUCycles,
-		insts:          st.Insts,
-		winStartCycles: st.WinStartCycles,
-		winStartInsts:  st.WinStartInsts,
-		winStartStats:  st.WinStartStats.Clone(),
-		winStartCache:  st.WinStartCache.Clone(),
-		winStartDRAM:   st.WinStartDRAM.Clone(),
+		opt:           st.Options,
+		cores:         cores,
+		llc:           llc,
+		ctrl:          ctrl,
+		mem:           ctrl,
+		winStartStats: st.WinStartStats.Clone(),
+		winStartCache: st.WinStartCache.Clone(),
+		winStartDRAM:  st.WinStartDRAM.Clone(),
 	}
 	if st.DRAM != nil {
 		d, err := dram.FromSnapshot(*st.DRAM, ctrl)

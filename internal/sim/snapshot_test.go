@@ -215,6 +215,10 @@ func TestRestoreMachineRejectsCorruptState(t *testing.T) {
 		{"controller eager queue length", func(st *MachineState) { st.Ctrl.EagerQLen += 3 }},
 		{"in-flight token out of range", func(st *MachineState) { st.Ctrl.Banks[opBank].Op.Token = len(st.Ctrl.Tokens) }},
 		{"LLC line dirty but not valid", func(st *MachineState) { st.LLC.Lines[0] = cache.LineState{Tag: 1, Dirty: true} }},
+		{"extra core generator without phases", func(st *MachineState) {
+			st.Cores = []CoreState{{Gen: st.Gen}}
+			st.Cores[0].Gen.Spec.Phases = nil
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

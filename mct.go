@@ -63,10 +63,10 @@ type (
 
 // Simulator types.
 type (
-	// Machine is a single-core simulated system executing one workload.
+	// Machine is a simulated system: one core per workload (NewMachine
+	// builds one, NewMixMachine the 4-core system of §6.2.5) in front of
+	// a shared memory hierarchy.
 	Machine = sim.Machine
-	// MultiMachine is the 4-core shared-memory system of §6.2.5.
-	MultiMachine = sim.MultiMachine
 	// Metrics reports IPC, lifetime and energy for a run or window.
 	Metrics = sim.Metrics
 	// SimOptions configures the simulated system.
@@ -191,11 +191,12 @@ func NewMachine(ctx context.Context, benchmark string, cfg Config, opts ...Optio
 	return m, nil
 }
 
-// NewMixMachine builds the 4-core system running a Table 11 mix. Options:
-// WithSimOptions overrides the per-core simulator options inside the
-// default multi-core setup; WithObserver attaches a registry (shared LLC
-// and controller, one cache/nvm family).
-func NewMixMachine(ctx context.Context, mix string, cfg Config, opts ...Option) (*MultiMachine, error) {
+// NewMixMachine builds the 4-core system running a Table 11 mix, one
+// benchmark per core. Options: WithSimOptions replaces the default
+// multi-core options (sim.DefaultMultiOptions: shared 8 MB LLC, 32-bank
+// memory); WithObserver attaches a registry (shared LLC and controller,
+// one cache/nvm family).
+func NewMixMachine(ctx context.Context, mix string, cfg Config, opts ...Option) (*Machine, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -206,10 +207,10 @@ func NewMixMachine(ctx context.Context, mix string, cfg Config, opts ...Option) 
 	}
 	mo := sim.DefaultMultiOptions()
 	if c.sim != nil {
-		mo.Options = *c.sim
+		mo = *c.sim
 	}
 	if c.tiers != nil {
-		mo.Options.Tiers = *c.tiers
+		mo.Tiers = *c.tiers
 	}
 	mm, err := sim.NewMultiMachine(specs, cfg, mo)
 	if err != nil {
@@ -255,7 +256,7 @@ func runtimeOptions(c callOpts) RuntimeOptions {
 	return opt
 }
 
-// NewRuntime attaches an MCT runtime to a machine. Options:
+// NewRuntime attaches an MCT runtime to a machine of any core count. Options:
 // WithRuntimeOptions (default DefaultRuntimeOptions), WithObserver (the
 // core metric family publishes to the registry; if the machine has no
 // observer yet, the registry is attached to it too, so one registry covers
@@ -269,19 +270,6 @@ func NewRuntime(ctx context.Context, m *Machine, obj Objective, opts ...Option) 
 		m.AttachObserver(c.reg)
 	}
 	return core.New(m, obj, runtimeOptions(c))
-}
-
-// NewMultiRuntime attaches an MCT runtime to a multi-core machine. It
-// accepts the same options as NewRuntime.
-func NewMultiRuntime(ctx context.Context, m *MultiMachine, obj Objective, opts ...Option) (*Runtime, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	c := applyOpts(opts)
-	if c.reg != nil && m.Observer() == nil {
-		m.AttachObserver(c.reg)
-	}
-	return core.New(core.MultiSystem{MM: m}, obj, runtimeOptions(c))
 }
 
 // Evaluate measures one configuration on a benchmark trace of nAccesses

@@ -79,7 +79,7 @@ func TestFacadeMixMachine(t *testing.T) {
 	ro.SampleUnitInsts = 4_000
 	ro.BaselineInsts = 50_000
 	ro.WarmupAccesses = 100_000
-	rt, err := mct.NewMultiRuntime(ctx, mm, mct.DefaultObjective(8), mct.WithRuntimeOptions(ro))
+	rt, err := mct.NewRuntime(ctx, mm, mct.DefaultObjective(8), mct.WithRuntimeOptions(ro))
 	if err != nil {
 		t.Fatal(err)
 	}
