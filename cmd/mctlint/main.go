@@ -12,8 +12,6 @@
 //	mctlint ./internal/...               # one subtree
 //	mctlint ./internal/sim               # one package
 //	mctlint -rules                       # list rules (severity, scope) and exit
-//	mctlint -only detflow,lockflow ./... # run a subset of the registry
-//	mctlint -skip allochot ./...         # run everything but a subset
 //	mctlint -json ./...                  # machine-readable findings (stable order)
 //	mctlint -baseline lint/baseline.json ./...  # fail only on NEW findings
 //	mctlint -baseline lint/baseline.json -stale-fatal ./...     # CI: stale entries fail
@@ -22,15 +20,13 @@
 //	mctlint -allochot-json allocs.json ./...    # export the hot-path allocation worklist
 //	mctlint -guards-json guards.json ./...      # export inferred shared-variable guard domains
 //
-// Rules are either package-scoped (one pass per package) or
-// program-scoped: the interprocedural rules (detflow, allochot, lockflow)
-// and the concurrency rules (racecand, atomicmix, chanmisuse) run over a
-// whole-program view with a static call graph, so a run that selects any
-// of them loads the transitive module dependencies of the requested
-// packages too — findings are still reported only inside the requested
-// packages. When lockbalance and lockflow both report the same lock leak
-// on the same line (a direct acquisition that is also a call-derived
-// hold), only the lockbalance finding survives.
+// Every run applies the whole registry in one pass. Rules are either
+// package-scoped (one pass per package) or program-scoped: the
+// interprocedural rules (detflow, allochot, lockflow), the concurrency
+// rules (racecand, atomicmix, chanmisuse) and nodeprecated run over a
+// whole-program view with a static call graph, built once from the
+// transitive module dependencies of the requested packages — findings are
+// still reported only inside the requested packages.
 //
 // Severity: each rule is "error" or "warn" (see -rules). Error findings
 // fail the run with exit 1; warn findings (audit-class, e.g. allochot's
@@ -55,8 +51,8 @@
 // worklist, and -guards-json the inferred guard domain of every shared
 // variable (atomic / lock / confined / mixed / escaped / unguarded, with
 // the goroutine contexts its accesses run under) — all in deterministic
-// JSON for CI artifacts. Each implies the whole-program load even when no
-// program-scoped rule is selected.
+// JSON for CI artifacts, all derived from the same program load as the
+// findings.
 //
 // Suppress a finding with a trailing comment (or one on the line above):
 //
@@ -77,8 +73,6 @@ func main() {
 	rules := flag.Bool("rules", false, "list rules (name, severity, scope, doc) and exit")
 	jsonOut := flag.Bool("json", false, "emit findings as a stable JSON array")
 	baselinePath := flag.String("baseline", "", "accepted-findings JSON file; fail only on findings not in it")
-	only := flag.String("only", "", "comma-separated rule names to run exclusively")
-	skip := flag.String("skip", "", "comma-separated rule names to skip")
 	staleFatal := flag.Bool("stale-fatal", false, "fail when baseline entries match no finding")
 	pruneFlag := flag.Bool("prune-baseline", false, "rewrite the -baseline file keeping only entries that still match")
 	graphPath := flag.String("graph-json", "", "write the static call graph as JSON to this path")
@@ -86,13 +80,9 @@ func main() {
 	guardsPath := flag.String("guards-json", "", "write the inferred shared-variable guard domains as JSON to this path")
 	flag.Parse()
 
-	selected, err := selectRules(analysis.Analyzers(), *only, *skip)
-	if err != nil {
-		fatal(err)
-	}
-
+	registry := analysis.Analyzers()
 	if *rules {
-		for _, a := range selected {
+		for _, a := range registry {
 			scope := "package"
 			if a.Interprocedural() {
 				scope = "program"
@@ -140,46 +130,35 @@ func main() {
 		}
 		pkgs = append(pkgs, pkg)
 		pass := analysis.NewPass(loader, pkg)
-		all = append(all, analysis.RunAnalyzers(pass, selected)...)
+		all = append(all, analysis.RunAnalyzers(pass, registry)...)
 	}
 
-	interprocedural := false
-	for _, a := range selected {
-		if a.Interprocedural() {
-			interprocedural = true
-			break
+	prog := analysis.NewProgram(loader, pkgs)
+	all = append(all, analysis.RunProgramAnalyzers(prog, registry)...)
+	if *graphPath != "" {
+		if err := writeArtifact(*graphPath, func() ([]byte, error) {
+			return graphJSON(moduleDir, prog.CallGraph())
+		}); err != nil {
+			fatal(err)
 		}
 	}
-	if interprocedural || *graphPath != "" || *allocPath != "" || *guardsPath != "" {
-		prog := analysis.NewProgram(loader, pkgs)
-		if interprocedural {
-			all = append(all, analysis.RunProgramAnalyzers(prog, selected)...)
+	if *allocPath != "" {
+		if err := writeArtifact(*allocPath, func() ([]byte, error) {
+			return allochotJSON(moduleDir, analysis.AllochotWorklist(prog))
+		}); err != nil {
+			fatal(err)
 		}
-		if *graphPath != "" {
-			if err := writeArtifact(*graphPath, func() ([]byte, error) {
-				return graphJSON(moduleDir, prog.CallGraph())
-			}); err != nil {
-				fatal(err)
-			}
-		}
-		if *allocPath != "" {
-			if err := writeArtifact(*allocPath, func() ([]byte, error) {
-				return allochotJSON(moduleDir, analysis.AllochotWorklist(prog))
-			}); err != nil {
-				fatal(err)
-			}
-		}
-		if *guardsPath != "" {
-			if err := writeArtifact(*guardsPath, func() ([]byte, error) {
-				return renderAnyJSON(analysis.GuardReport(prog))
-			}); err != nil {
-				fatal(err)
-			}
+	}
+	if *guardsPath != "" {
+		if err := writeArtifact(*guardsPath, func() ([]byte, error) {
+			return renderAnyJSON(analysis.GuardReport(prog))
+		}); err != nil {
+			fatal(err)
 		}
 	}
 
-	findings := dedupeOverlap(toJSONDiagnostics(moduleDir, all))
-	applySeverities(findings, severityByRule(analysis.Analyzers()))
+	findings := toJSONDiagnostics(moduleDir, all)
+	applySeverities(findings, severityByRule(registry))
 
 	if *baselinePath != "" {
 		base, err := loadBaseline(*baselinePath)
@@ -228,55 +207,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "mctlint: %d finding(s)\n", errs)
 		os.Exit(1)
 	}
-}
-
-// selectRules filters the registry through -only and -skip (comma-separated
-// rule names). Unknown names are an error: a typo must not silently run
-// nothing.
-func selectRules(all []*analysis.Analyzer, only, skip string) ([]*analysis.Analyzer, error) {
-	byName := map[string]*analysis.Analyzer{}
-	for _, a := range all {
-		byName[a.Name] = a
-	}
-	parse := func(flagName, csv string) (map[string]bool, error) {
-		if csv == "" {
-			return nil, nil
-		}
-		set := map[string]bool{}
-		for _, n := range strings.Split(csv, ",") {
-			n = strings.TrimSpace(n)
-			if n == "" {
-				continue
-			}
-			if byName[n] == nil {
-				return nil, fmt.Errorf("-%s: unknown rule %q (see -rules)", flagName, n)
-			}
-			set[n] = true
-		}
-		return set, nil
-	}
-	onlySet, err := parse("only", only)
-	if err != nil {
-		return nil, err
-	}
-	skipSet, err := parse("skip", skip)
-	if err != nil {
-		return nil, err
-	}
-	var out []*analysis.Analyzer
-	for _, a := range all {
-		if onlySet != nil && !onlySet[a.Name] {
-			continue
-		}
-		if skipSet[a.Name] {
-			continue
-		}
-		out = append(out, a)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("rule selection left nothing to run")
-	}
-	return out, nil
 }
 
 // severityByRule maps every registry rule (plus the reserved "mctlint"

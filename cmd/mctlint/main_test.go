@@ -7,73 +7,6 @@ import (
 	"mct/internal/analysis"
 )
 
-func ruleNames(as []*analysis.Analyzer) []string {
-	out := make([]string, len(as))
-	for i, a := range as {
-		out[i] = a.Name
-	}
-	return out
-}
-
-func TestSelectRulesDefault(t *testing.T) {
-	all := analysis.Analyzers()
-	got, err := selectRules(all, "", "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(all) {
-		t.Errorf("no filters must select the whole registry: %d != %d", len(got), len(all))
-	}
-}
-
-func TestSelectRulesOnly(t *testing.T) {
-	got, err := selectRules(analysis.Analyzers(), "detflow, lockflow", "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if names := ruleNames(got); len(names) != 2 || names[0] != "detflow" || names[1] != "lockflow" {
-		t.Errorf("-only detflow,lockflow selected %v", names)
-	}
-}
-
-func TestSelectRulesSkip(t *testing.T) {
-	all := analysis.Analyzers()
-	got, err := selectRules(all, "", "allochot")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(all)-1 {
-		t.Errorf("-skip allochot selected %d rules, want %d", len(got), len(all)-1)
-	}
-	for _, a := range got {
-		if a.Name == "allochot" {
-			t.Error("allochot survived -skip allochot")
-		}
-	}
-}
-
-func TestSelectRulesOnlyAndSkipCompose(t *testing.T) {
-	got, err := selectRules(analysis.Analyzers(), "detflow,allochot,lockflow", "allochot")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if names := ruleNames(got); len(names) != 2 || names[0] != "detflow" || names[1] != "lockflow" {
-		t.Errorf("composed filters selected %v", names)
-	}
-}
-
-func TestSelectRulesErrors(t *testing.T) {
-	if _, err := selectRules(analysis.Analyzers(), "detfow", ""); err == nil {
-		t.Error("typo in -only must error, not silently run nothing")
-	}
-	if _, err := selectRules(analysis.Analyzers(), "", "nosuchrule"); err == nil {
-		t.Error("unknown rule in -skip must error")
-	}
-	if _, err := selectRules(analysis.Analyzers(), "detflow", "detflow"); err == nil {
-		t.Error("empty selection must error")
-	}
-}
-
 func TestSeverityStamping(t *testing.T) {
 	sev := severityByRule(analysis.Analyzers())
 	if sev["allochot"] != "warn" {

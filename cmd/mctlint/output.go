@@ -13,7 +13,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strings"
 
 	"mct/internal/analysis"
 )
@@ -99,41 +98,6 @@ func renderAnyJSON(v any) ([]byte, error) {
 		return nil, err
 	}
 	return append(b, '\n'), nil
-}
-
-// dedupeOverlap collapses the intra/inter lock-leak overlap: a direct
-// acquisition that leaks is reported by lockbalance (package pass), and
-// when the same statement also carries a call-derived hold the lockflow
-// pass reports the same file:line again. One leak, one finding: when both
-// rules fire on the same line about the same lock expression (both
-// messages lead with "<expr> is ..."), the lockflow duplicate is dropped
-// — lockbalance is the more local, more actionable report.
-func dedupeOverlap(ds []jsonDiagnostic) []jsonDiagnostic {
-	type lineKey struct {
-		file string
-		line int
-		expr string
-	}
-	exprOf := func(msg string) string {
-		if i := strings.Index(msg, " is "); i >= 0 {
-			return msg[:i]
-		}
-		return msg
-	}
-	balance := map[lineKey]bool{}
-	for _, d := range ds {
-		if d.Rule == "lockbalance" {
-			balance[lineKey{d.File, d.Line, exprOf(d.Message)}] = true
-		}
-	}
-	out := ds[:0:0]
-	for _, d := range ds {
-		if d.Rule == "lockflow" && balance[lineKey{d.File, d.Line, exprOf(d.Message)}] {
-			continue
-		}
-		out = append(out, d)
-	}
-	return out
 }
 
 // loadBaseline reads an accepted-findings file written by -json.

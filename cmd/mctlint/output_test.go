@@ -5,7 +5,6 @@ import (
 	"go/token"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"mct/internal/analysis"
@@ -149,120 +148,5 @@ func TestFilterBaselineEmptyBaseline(t *testing.T) {
 	fresh, stale := filterBaseline(findings, nil)
 	if stale != 0 || len(fresh) != len(findings) {
 		t.Errorf("empty baseline changed findings: fresh=%d stale=%d", len(fresh), stale)
-	}
-}
-
-// TestDedupeOverlap pins the lockbalance/lockflow merge: when both rules
-// report the same lock expression on the same line, only the lockbalance
-// finding survives; everything else passes through untouched.
-func TestDedupeOverlap(t *testing.T) {
-	ds := []jsonDiagnostic{
-		// The overlapping pair: a direct Lock that is also a call-derived
-		// hold, both firing at s.lockIt(); s.mu.Lock() on one line.
-		{File: "a.go", Line: 10, Rule: "lockbalance", Message: "s.mu is locked here but not released on every path to return/panic; unlock on all paths or defer the unlock"},
-		{File: "a.go", Line: 10, Rule: "lockflow", Message: "s.mu is acquired here through call to lockIt but not released on every path to return/panic; unlock on all paths or defer the release"},
-		// Same line, different lock expression: NOT a duplicate.
-		{File: "a.go", Line: 10, Rule: "lockflow", Message: "s.other is acquired here through call to lockIt but not released on every path to return/panic; unlock on all paths or defer the release"},
-		// Same expression, different line: NOT a duplicate.
-		{File: "a.go", Line: 20, Rule: "lockflow", Message: "s.mu is acquired here through call to lockIt but not released on every path to return/panic; unlock on all paths or defer the release"},
-		// A lockflow finding with no lockbalance twin anywhere.
-		{File: "b.go", Line: 5, Rule: "lockflow", Message: "c.mu is acquired here through call to helper but not released on every path to return/panic; unlock on all paths or defer the release"},
-		// Unrelated rules are never touched.
-		{File: "a.go", Line: 10, Rule: "racecand", Message: "x is written in f and read in g without a common lock; the accesses may happen in parallel"},
-	}
-	got := dedupeOverlap(ds)
-	if len(got) != 5 {
-		t.Fatalf("dedupeOverlap kept %d findings, want 5: %+v", len(got), got)
-	}
-	for _, d := range got {
-		if d.Rule == "lockflow" && d.File == "a.go" && d.Line == 10 && strings.HasPrefix(d.Message, "s.mu ") {
-			t.Errorf("overlapping lockflow finding survived: %+v", d)
-		}
-	}
-	// The survivors keep their order and the non-overlap cases are intact.
-	rules := make([]string, len(got))
-	for i, d := range got {
-		rules[i] = d.Rule
-	}
-	want := []string{"lockbalance", "lockflow", "lockflow", "lockflow", "racecand"}
-	for i := range want {
-		if rules[i] != want[i] {
-			t.Fatalf("survivor order = %v, want %v", rules, want)
-		}
-	}
-}
-
-// TestDedupeOverlapEndToEnd drives the merge from real analyzer output: a
-// snippet whose single statement is reported by both passes must yield
-// exactly one finding on that line after the merge.
-func TestDedupeOverlapEndToEnd(t *testing.T) {
-	dir := t.TempDir()
-	src := `package overlap
-
-import "sync"
-
-type store struct {
-	mu sync.Mutex
-	n  int
-}
-
-func (s *store) lockIt() { s.mu.Lock() }
-
-func leak(s *store) {
-	s.lockIt()
-	s.mu.Lock()
-	s.n++
-}
-`
-	if err := os.WriteFile(filepath.Join(dir, "overlap.go"), []byte(src), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	moduleDir, err := findModuleRoot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	loader, err := analysis.NewLoader(moduleDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkg, err := loader.LoadFixture(dir, loader.ModulePath()+"/internal/testdata/overlap")
-	if err != nil {
-		t.Fatal(err)
-	}
-	selected := analysis.Analyzers()
-	all := analysis.RunAnalyzers(analysis.NewPass(loader, pkg), selected)
-	prog := analysis.NewProgram(loader, []*analysis.Package{pkg})
-	all = append(all, analysis.RunProgramAnalyzers(prog, selected)...)
-
-	merged := dedupeOverlap(toJSONDiagnostics(moduleDir, all))
-	perLine := map[int][]string{}
-	for _, d := range merged {
-		perLine[d.Line] = append(perLine[d.Line], d.Rule+": "+d.Message)
-	}
-	// The s.lockIt() line: lockflow's call-derived hold for s.mu leaks, and
-	// the helper itself is a lockflow finding at its own line — but the
-	// direct s.mu.Lock() line must carry exactly one finding (lockbalance),
-	// its lockflow twin merged away.
-	for line, msgs := range perLine {
-		seen := map[string]bool{}
-		for _, m := range msgs {
-			expr := m[strings.Index(m, ": ")+2:]
-			if i := strings.Index(expr, " is "); i >= 0 {
-				expr = expr[:i]
-			}
-			if seen[expr] {
-				t.Errorf("line %d still carries two findings for %q: %v", line, expr, msgs)
-			}
-			seen[expr] = true
-		}
-	}
-	var direct []string
-	for _, d := range merged {
-		if d.Line == 14 { // the s.mu.Lock() line
-			direct = append(direct, d.Rule)
-		}
-	}
-	if len(direct) != 1 || direct[0] != "lockbalance" {
-		t.Errorf("direct-lock line findings = %v, want exactly [lockbalance]", direct)
 	}
 }

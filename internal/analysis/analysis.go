@@ -91,7 +91,7 @@ func (a *Analyzer) EffectiveSeverity() string {
 func (a *Analyzer) Interprocedural() bool { return a.RunProgram != nil }
 
 // Analyzers returns the default registry: every simulator-aware rule
-// shipped with mctlint. The first eight are syntactic; the next four are
+// shipped with mctlint. The first seven are syntactic; the next three are
 // flow-sensitive, built on the CFG/dataflow layer of cfg.go and
 // dataflow.go; the next three are interprocedural, built on the call-graph
 // and summary layer of callgraph.go and summaries.go; the next three are
@@ -103,12 +103,10 @@ func Analyzers() []*Analyzer {
 		FloatEq,
 		UncheckedErr,
 		CycleCast,
-		MutexCopy,
 		CtxFirst,
 		CloneFields,
-		MapRange,
 		ObsNames,
-		LockBalance,
+		MapRange,
 		GoLeak,
 		DeferLoop,
 		DetFlow,

@@ -47,6 +47,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"strings"
 )
 
 // DetFlow is the interprocedural nondeterminism-taint rule.
@@ -1002,21 +1003,11 @@ func (fc *detFuncCtx) applySummary(target *FuncInfo, su *detSummary, argMarks []
 }
 
 // shortFuncName trims the module-path noise off a FuncInfo name for
-// messages.
+// messages, keeping a method's receiver form:
+// "(*mct/internal/sim.Machine).step$1" becomes "(*sim.Machine).step$1".
 func shortFuncName(name string) string {
-	if i := lastSlash(name); i >= 0 {
-		return name[i+1:]
-	}
-	return name
-}
-
-func lastSlash(s string) int {
-	for i := len(s) - 1; i >= 0; i-- {
-		if s[i] == '/' {
-			return i
-		}
-	}
-	return -1
+	rest := strings.TrimLeft(name, "(*")
+	return name[:len(name)-len(rest)] + rest[strings.LastIndexByte(rest, '/')+1:]
 }
 
 // bindRange binds a range statement's key/value variables: collection

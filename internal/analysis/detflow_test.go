@@ -6,6 +6,22 @@ import (
 	"testing"
 )
 
+// TestShortFuncName pins the message form of FuncInfo names: the module
+// path is dropped, a method's receiver parentheses stay balanced.
+func TestShortFuncName(t *testing.T) {
+	for _, tc := range []struct{ in, want string }{
+		{"mct/internal/sim.Evaluate", "sim.Evaluate"},
+		{"(*mct/internal/analysis.CFG).ReachableFrom", "(*analysis.CFG).ReachableFrom"},
+		{"(mct/internal/config.Config).Validate", "(config.Config).Validate"},
+		{"(*mct/internal/analysis.CFG).ReachableFrom$1", "(*analysis.CFG).ReachableFrom$1"},
+		{"main.run", "main.run"},
+	} {
+		if got := shortFuncName(tc.in); got != tc.want {
+			t.Errorf("shortFuncName(%q) = %q, want %q", tc.in, got, tc.want)
+		}
+	}
+}
+
 // TestDetFlowInjectedSourceTwoLevels seeds a wall-clock source two call
 // levels above a report-table sink and asserts the taint survives both
 // summary compositions: the acceptance probe for the interprocedural depth

@@ -1,5 +1,7 @@
-// Package lockbalance is an analyzer fixture with known violations; the
-// `// want <rule>` markers are asserted by internal/analysis tests.
+// Package lockbalance is a lockflow fixture for direct acquisitions: a
+// Lock/RLock in the function's own body must be released on every path to
+// return/panic. The `// want <rule>` markers are asserted by
+// internal/analysis tests.
 package lockbalance
 
 import (
@@ -13,7 +15,7 @@ type counter struct {
 }
 
 func leakOnErrorReturn(c *counter, fail bool) error {
-	c.mu.Lock() // want lockbalance
+	c.mu.Lock() // want lockflow
 	if fail {
 		return errors.New("boom") // this path skips the unlock
 	}
@@ -23,7 +25,7 @@ func leakOnErrorReturn(c *counter, fail bool) error {
 }
 
 func leakOnPanicPath(c *counter, bad bool) {
-	c.mu.Lock() // want lockbalance
+	c.mu.Lock() // want lockflow
 	if bad {
 		panic("invariant violated") // deferless panic exits locked
 	}
@@ -32,7 +34,7 @@ func leakOnPanicPath(c *counter, bad bool) {
 }
 
 func rlockLeak(mu *sync.RWMutex, skip bool) {
-	mu.RLock() // want lockbalance
+	mu.RLock() // want lockflow
 	if skip {
 		return
 	}
@@ -77,6 +79,18 @@ func readSide(mu *sync.RWMutex) int {
 	return 1
 }
 
+// closureLeak leaks inside a function literal, which is its own function:
+// the finding is at the literal's Lock.
+func closureLeak(c *counter) func(bool) {
+	return func(fail bool) {
+		c.mu.Lock() // want lockflow
+		if fail {
+			return
+		}
+		c.mu.Unlock()
+	}
+}
+
 // lockInLoop is balanced within each iteration: clean.
 func lockInLoop(c *counter, n int) {
 	for i := 0; i < n; i++ {
@@ -87,6 +101,6 @@ func lockInLoop(c *counter, n int) {
 }
 
 func suppressedHandoff(c *counter) {
-	c.mu.Lock() //mctlint:ignore lockbalance fixture: lock handoff — the caller releases
+	c.mu.Lock() //mctlint:ignore lockflow fixture: lock handoff — the caller releases
 	c.n++
 }

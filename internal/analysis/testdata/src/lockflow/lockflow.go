@@ -1,7 +1,8 @@
-// Fixture for the lockflow rule: a mutex acquired through a helper (any
-// depth) must be released on every path out of the caller — directly,
-// through a releasing helper, or via defer of either. Direct acquisitions
-// leaking in their own function are lockbalance's findings, not lockflow's.
+// Package lockflow is an analyzer fixture with known violations; the
+// `// want <rule>` markers are asserted by internal/analysis tests. A mutex
+// acquired directly (the lockbalance fixture) or through a helper (any depth)
+// must be released on every path out of the function — directly, through a
+// releasing helper, or via defer of either.
 package lockflow
 
 import "sync"
@@ -11,8 +12,10 @@ type store struct {
 	n  int
 }
 
-// lockIt hides the acquisition behind a call boundary.
-func (s *store) lockIt() { s.mu.Lock() }
+// lockIt hides the acquisition behind a call boundary. It is itself a
+// direct hold (a deliberate lock helper carries a reasoned ignore in real
+// code).
+func (s *store) lockIt() { s.mu.Lock() } // want lockflow
 
 // unlockIt hides the release.
 func (s *store) unlockIt() { s.mu.Unlock() }
@@ -71,5 +74,13 @@ func deepBad(s *store) {
 func suppressed(s *store) {
 	//mctlint:ignore lockflow fixture: suppression must cover program-scoped rules
 	s.lockIt()
+	s.n++
+}
+
+// relock leaks s.mu through the helper and then locks it again directly:
+// one leaked lock is one finding, at the earlier acquisition.
+func relock(s *store) {
+	s.lockIt() // want lockflow
+	s.mu.Lock()
 	s.n++
 }

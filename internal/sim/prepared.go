@@ -47,10 +47,6 @@ type Prepared struct {
 	warmup   int
 	nMeasure int
 	warm     *Machine
-	// genState is the generator state at the measurement cut (== the warm
-	// machine's generator position); kept so Trace can rematerialize the
-	// measurement stream on demand without touching the warm machine.
-	genState trace.GeneratorState
 }
 
 // Prepare warms a machine with warmup accesses of the named benchmark
@@ -84,7 +80,6 @@ func Prepare(benchmark string, warmup, measure int, opt Options) (*Prepared, err
 		warmup:   warmup,
 		nMeasure: measure,
 		warm:     m,
-		genState: m.cores[0].gen.Snapshot(),
 	}, nil
 }
 
@@ -118,16 +113,7 @@ func PreparedFromMachine(m *Machine, warmup, measure int) (*Prepared, error) {
 		warmup:   warmup,
 		nMeasure: measure,
 		warm:     m,
-		genState: m.cores[0].gen.Snapshot(),
 	}, nil
-}
-
-// Trace materializes the measurement access stream. Each call regenerates a
-// fresh slice from the measurement-cut generator state, so callers own the
-// result outright: mutating it cannot perturb evaluations (which stream
-// from cloned generator state and never read a shared slice).
-func (p *Prepared) Trace() []trace.Access {
-	return trace.Collect(trace.FromState(p.genState), p.nMeasure)
 }
 
 // Evaluate measures one configuration on the prepared workload by cloning

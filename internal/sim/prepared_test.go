@@ -9,11 +9,17 @@ import (
 	"mct/internal/trace"
 )
 
-// TestTraceDefensiveCopy: the slice Trace returns is caller-owned — mutating
-// it must perturb neither later evaluations nor later Trace calls. (The
-// pre-streaming implementation handed out its internal measurement slice;
-// a caller writing through it silently corrupted every subsequent
-// evaluation.)
+// measureTrace materializes a prepared workload's measurement stream from
+// the warm machine's generator position, leaving the warm machine alone.
+func measureTrace(p *Prepared) []trace.Access {
+	return trace.Collect(trace.FromState(p.warm.cores[0].gen.Snapshot()), p.nMeasure)
+}
+
+// TestTraceDefensiveCopy: a materialized measurement stream is caller-owned
+// — mutating it must perturb neither later evaluations nor later
+// materializations. (The pre-streaming implementation handed out its
+// internal measurement slice; a caller writing through it silently
+// corrupted every subsequent evaluation.)
 func TestTraceDefensiveCopy(t *testing.T) {
 	p, err := Prepare("lbm", 2000, 4000, DefaultOptions())
 	if err != nil {
@@ -25,7 +31,7 @@ func TestTraceDefensiveCopy(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	tr := p.Trace()
+	tr := measureTrace(p)
 	want := append([]trace.Access(nil), tr...)
 	for i := range tr {
 		tr[i] = trace.Access{InstGap: 1, Addr: 0xDEAD_0000, Write: true}
@@ -36,14 +42,14 @@ func TestTraceDefensiveCopy(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(before, after) {
-		t.Error("mutating the slice returned by Trace changed a later evaluation")
+		t.Error("mutating a materialized measurement stream changed a later evaluation")
 	}
-	if got := p.Trace(); !reflect.DeepEqual(got, want) {
-		t.Error("mutating the slice returned by Trace changed a later Trace call")
+	if got := measureTrace(p); !reflect.DeepEqual(got, want) {
+		t.Error("mutating a materialized measurement stream changed a later materialization")
 	}
 }
 
-// TestTraceIsTheMeasurementStream: the stream Trace materializes is exactly
+// TestTraceIsTheMeasurementStream: the stream measureTrace materializes is exactly
 // what evaluations measure — replaying it on a clone of the warm state
 // yields the byte-identical metrics of Evaluate.
 func TestTraceIsTheMeasurementStream(t *testing.T) {
@@ -63,7 +69,7 @@ func TestTraceIsTheMeasurementStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	m.beginWindow()
-	m.runSource(trace.NewReplay(p.Trace()))
+	m.runSource(trace.NewReplay(measureTrace(p)))
 	m.finishRun()
 	replayed := m.windowMetrics()
 
@@ -73,8 +79,8 @@ func TestTraceIsTheMeasurementStream(t *testing.T) {
 }
 
 // TestEvaluateStreamingMatchesMaterialized: the thin-wrapper contract of the
-// refactor — Evaluate (incremental generation) and EvaluateTrace over the
-// equivalent materialized slice produce byte-identical metrics.
+// refactor — Evaluate (incremental generation) and EvaluateSource replaying
+// the equivalent materialized slice produce byte-identical metrics.
 func TestEvaluateStreamingMatchesMaterialized(t *testing.T) {
 	const n = 30_000
 	opt := DefaultOptions()
@@ -91,12 +97,12 @@ func TestEvaluateStreamingMatchesMaterialized(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := trace.Collect(trace.NewGenerator(spec, rng.NewRand(opt.Seed)), n)
-	materialized, err := EvaluateTrace(tr, spec, cfg, opt)
+	materialized, err := EvaluateSource(trace.NewReplay(tr), spec, cfg, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(streamed, materialized) {
-		t.Errorf("streaming Evaluate diverged from materialized EvaluateTrace:\n%+v\nvs\n%+v", streamed, materialized)
+		t.Errorf("streaming Evaluate diverged from the materialized replay:\n%+v\nvs\n%+v", streamed, materialized)
 	}
 }
 

@@ -771,15 +771,6 @@ func EvaluateSource(src trace.Source, spec trace.Spec, cfg config.Config, opt Op
 	return m.windowMetrics(), nil
 }
 
-// EvaluateTrace runs a pre-materialized trace (identical for every
-// configuration — the fair-comparison methodology of trace-driven
-// simulation) on a fresh machine under cfg and returns the run metrics. It
-// is a thin wrapper over the streaming path: the slice is replayed
-// batch-by-batch, never copied.
-func EvaluateTrace(tr []trace.Access, spec trace.Spec, cfg config.Config, opt Options) (Metrics, error) {
-	return EvaluateSource(trace.NewReplay(tr), spec, cfg, opt)
-}
-
 // Evaluate streams nAccesses of the named benchmark (seeded by opt.Seed)
 // through a fresh machine under cfg. The stream is generated incrementally
 // — a thin wrapper over EvaluateSource, producing the byte-identical

@@ -234,10 +234,6 @@ func SaveCheckpoint(path string, m *Machine) error { return sim.SaveCheckpoint(p
 // version.
 func LoadCheckpoint(path string) (*Machine, error) { return sim.LoadCheckpoint(path) }
 
-// CloneMachine returns an independent deep copy of a machine: both continue
-// the identical simulation, and advancing one never perturbs the other.
-func CloneMachine(m *Machine) *Machine { return m.Clone() }
-
 // runtimeOptions resolves the effective core options of one facade call:
 // explicit options (or defaults) with the shared observer surface merged
 // in (WithObserver feeds the core metric family, WithTraceSink the
