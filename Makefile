@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint lint-json lint-update test perfbench-test race bench-smoke sweep-bench obs-bench mem-smoke profile metrics-check serve-smoke verify
+.PHONY: all build vet lint lint-json lint-update test perfbench-test race bench-smoke sweep-bench obs-bench mem-smoke profile metrics-check serve-smoke fuzz-smoke verify
 
 all: verify
 
@@ -98,4 +98,10 @@ metrics-check:
 serve-smoke:
 	./scripts/serve_smoke.sh
 
-verify: build vet lint test perfbench-test race bench-smoke mem-smoke serve-smoke
+# Short fuzz of checkpoint loading: every garbled checkpoint file must
+# either fail to load or restore a machine that steps without panicking.
+# `go test` runs the seed corpus (fresh NVM-only and DRAM-tier checkpoints).
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzLoadCheckpoint$$' -fuzztime 30s -fuzzminimizetime 1x ./internal/sim
+
+verify: build vet lint test perfbench-test race bench-smoke mem-smoke serve-smoke fuzz-smoke

@@ -10,9 +10,11 @@ import (
 // cloneMethodNames are the snapshot-contract methods whose whole job is to
 // account for every receiver field.
 var cloneMethodNames = map[string]bool{
-	"Clone":    true,
-	"Snapshot": true,
-	"Restore":  true,
+	"Clone":        true,
+	"Snapshot":     true,
+	"SnapshotView": true,
+	"snapshotView": true,
+	"Restore":      true,
 }
 
 // recvStruct resolves a method receiver to its named struct type, seeing
@@ -36,10 +38,10 @@ func recvStruct(pass *Pass, recv *ast.FieldList) *types.Struct {
 	return st
 }
 
-// CloneFields flags Clone/Snapshot/Restore methods on struct receivers that
-// never reference one or more receiver fields. Those methods exist to
-// account for every field — a field a Clone never mentions is state the copy
-// silently shares with (or drops from) its parent, which breaks the
+// CloneFields flags Clone/Snapshot/SnapshotView/Restore methods on struct
+// receivers that never reference one or more receiver fields. Those methods
+// exist to account for every field — a field a Clone never mentions is state
+// the copy silently shares with (or drops from) its parent, which breaks the
 // simulator's snapshot contract in ways only long equivalence runs catch.
 //
 // A whole-struct copy (n := *c, or a bare use of a value receiver) counts as
@@ -50,7 +52,7 @@ func recvStruct(pass *Pass, recv *ast.FieldList) *types.Struct {
 // a reason.
 var CloneFields = &Analyzer{
 	Name: "clonefields",
-	Doc:  "Clone/Snapshot/Restore methods must reference every receiver field (or suppress with a reason)",
+	Doc:  "Clone/Snapshot/SnapshotView/Restore methods must reference every receiver field (or suppress with a reason)",
 	Run: func(pass *Pass) {
 		for _, f := range pass.Files {
 			for _, decl := range f.Decls {

@@ -49,6 +49,11 @@ func (s *snap) Restore(st snapState) { // want clonefields
 	s.a = st.A // forgets to restore b
 }
 
+// The shared-lane variant of Snapshot is held to the same contract.
+func (s *snap) SnapshotView() snapState { // want clonefields
+	return snapState{B: s.b} // drops a
+}
+
 type stats struct {
 	n   int
 	ids []int

@@ -4,6 +4,8 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
+
+	"mct/internal/lane"
 )
 
 // TestSnapshotRoundTrip: FromSnapshot(c.Snapshot()) reproduces the exact
@@ -58,9 +60,15 @@ func TestFromSnapshotValidates(t *testing.T) {
 	}
 
 	bad := c.Snapshot()
-	bad.Lines = bad.Lines[:1]
+	bad.Tags = bad.Tags[:1]
 	if _, err := FromSnapshot(bad); err == nil {
-		t.Error("line-count mismatch accepted")
+		t.Error("tag-count mismatch accepted")
+	}
+
+	bad = c.Snapshot()
+	bad.State = bad.State[:1]
+	if _, err := FromSnapshot(bad); err == nil {
+		t.Error("state-count mismatch accepted")
 	}
 
 	bad = c.Snapshot()
@@ -76,14 +84,71 @@ func TestFromSnapshotValidates(t *testing.T) {
 	}
 
 	bad = c.Snapshot()
-	bad.Lines[3] = LineState{Tag: 5, Dirty: true}
+	bad.Tags[3], bad.State[3] = 5, lane.Dirty
 	if _, err := FromSnapshot(bad); err == nil {
 		t.Error("dirty but invalid line accepted")
+	}
+
+	bad = c.Snapshot()
+	bad.State[3] = lane.Valid | 1<<2
+	if _, err := FromSnapshot(bad); err == nil {
+		t.Error("unknown state bits accepted")
+	}
+
+	bad = legacySnapshot(c.Snapshot())
+	bad.Lines[3] = lane.LineState{Tag: 5, Dirty: true}
+	if _, err := FromSnapshot(bad); err == nil {
+		t.Error("dirty but invalid line record accepted")
+	}
+
+	bad = c.Snapshot()
+	bad.Lines = legacySnapshot(c.Snapshot()).Lines
+	if _, err := FromSnapshot(bad); err == nil {
+		t.Error("snapshot with both lanes and records accepted")
+	}
+
+	bad = c.Snapshot()
+	bad.Tags, bad.State = nil, nil
+	if _, err := FromSnapshot(bad); err == nil {
+		t.Error("snapshot with no line state accepted")
 	}
 
 	bad = c.Snapshot()
 	bad.SizeBytes = 7
 	if _, err := FromSnapshot(bad); err == nil {
 		t.Error("invalid geometry accepted")
+	}
+}
+
+// legacySnapshot rewrites s into the record form that checkpoints used
+// before the lanes: Lines filled, Tags and State empty.
+func legacySnapshot(s Snapshot) Snapshot {
+	s.Lines = make([]lane.LineState, len(s.Tags))
+	for i, tag := range s.Tags {
+		s.Lines[i] = lane.LineState{Tag: tag, Valid: s.State[i]&lane.Valid != 0, Dirty: s.State[i]&lane.Dirty != 0}
+	}
+	s.Tags, s.State = nil, nil
+	return s
+}
+
+// TestFromSnapshotReadsRecordForm: a snapshot in the record form of older
+// checkpoints restores to the same cache as the lane form it was made from.
+func TestFromSnapshotReadsRecordForm(t *testing.T) {
+	c := mustNew(t, 16*64*4, 4)
+	rng := rand.New(rand.NewSource(9))
+	for i := 0; i < 3000; i++ {
+		c.Access(uint64(rng.Intn(1<<12))*64, rng.Intn(3) == 0)
+	}
+	c.NextEagerVictim(2, 5)
+
+	r, err := FromSnapshot(legacySnapshot(c.Snapshot()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(c.Snapshot(), r.Snapshot()) {
+		t.Fatal("record-form restore differs from the lane-form original")
+	}
+	if c.DirtyLines() == 0 {
+		t.Fatal("no dirty lines; the comparison is vacuous")
 	}
 }

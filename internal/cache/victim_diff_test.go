@@ -116,12 +116,10 @@ func (r *byteLaneCache) nextEagerVictim(uselessN, maxSets int) (uint64, bool) {
 	return 0, false
 }
 
-func (r *byteLaneCache) lines() []LineState {
-	out := make([]LineState, len(r.tags))
-	for i, tag := range r.tags {
-		out[i] = LineState{Tag: tag, Valid: r.meta[i]&refValid != 0, Dirty: r.meta[i]&refDirty != 0}
-	}
-	return out
+// lanes returns the reference's line state in the snapshot lane form; its
+// metadata byte has the snapshot State layout.
+func (r *byteLaneCache) lanes() ([]uint64, []uint8) {
+	return append([]uint64(nil), r.tags...), append([]uint8(nil), r.meta...)
 }
 
 // TestEagerVictimMatchesByteLane drives the bitmask cache and the byte-lane
@@ -179,7 +177,8 @@ func diffVictims(t *testing.T, size, ways, maxSets int, seed int64) {
 			if got, want := c.Stats(), ref.stats; !reflect.DeepEqual(got, want) {
 				t.Fatalf("step %d: stats %+v, reference %+v", step, got, want)
 			}
-			if got, want := c.Snapshot().Lines, ref.lines(); !reflect.DeepEqual(got, want) {
+			snap := c.Snapshot()
+			if wantTags, wantState := ref.lanes(); !reflect.DeepEqual([]uint64(snap.Tags), wantTags) || !reflect.DeepEqual(snap.State, wantState) {
 				t.Fatalf("step %d: line state diverged from the reference", step)
 			}
 		}

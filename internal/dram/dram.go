@@ -36,6 +36,7 @@ import (
 	"fmt"
 
 	"mct/internal/hierarchy"
+	"mct/internal/lane"
 )
 
 // LineBytes is the cached line size in bytes (matches the LLC line size:
@@ -45,10 +46,11 @@ const LineBytes = 64
 // MaxPromoteThreshold bounds the promotion knob's legal range.
 const MaxPromoteThreshold = 64
 
-// Metadata lane bits (one byte per line).
+// Metadata lane bits (one byte per line), laid out as a snapshot's state
+// byte so the lane saves and restores verbatim.
 const (
-	metaValid uint8 = 1 << 0
-	metaDirty uint8 = 1 << 1
+	metaValid = lane.Valid
+	metaDirty = lane.Dirty
 )
 
 // hotCountCap stops the page-touch counters short of wrapping.

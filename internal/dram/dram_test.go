@@ -3,6 +3,8 @@ package dram
 import (
 	"reflect"
 	"testing"
+
+	"mct/internal/lane"
 )
 
 // stubMem is a scripted tier-below: it records the traffic it receives and
@@ -352,21 +354,116 @@ func TestFromSnapshotRejects(t *testing.T) {
 	good := d.Snapshot()
 
 	s := good
-	s.Lines = s.Lines[:len(s.Lines)-1]
+	s.Tags = s.Tags[:len(s.Tags)-1]
 	if _, err := FromSnapshot(s, &stubMem{}); err == nil {
-		t.Error("truncated line state accepted")
+		t.Error("truncated tag lane accepted")
 	}
 
 	s = good
-	s.Hot = s.Hot[:len(s.Hot)-1]
+	s.State = s.State[:len(s.State)-1]
+	if _, err := FromSnapshot(s, &stubMem{}); err == nil {
+		t.Error("truncated state lane accepted")
+	}
+
+	s = good
+	s.HotPages = s.HotPages[:len(s.HotPages)-1]
 	if _, err := FromSnapshot(s, &stubMem{}); err == nil {
 		t.Error("truncated hot table accepted")
+	}
+
+	s = good
+	s.HotEpochs = s.HotEpochs[:len(s.HotEpochs)-1]
+	if _, err := FromSnapshot(s, &stubMem{}); err == nil {
+		t.Error("truncated hot-epoch lane accepted")
+	}
+
+	s = legacySnapshot(d.Snapshot())
+	s.Lines = s.Lines[:len(s.Lines)-1]
+	if _, err := FromSnapshot(s, &stubMem{}); err == nil {
+		t.Error("truncated line records accepted")
+	}
+
+	s = legacySnapshot(d.Snapshot())
+	s.Hot = s.Hot[:len(s.Hot)-1]
+	if _, err := FromSnapshot(s, &stubMem{}); err == nil {
+		t.Error("truncated hot-table records accepted")
+	}
+
+	s = d.Snapshot()
+	s.State[0] = lane.Dirty
+	if _, err := FromSnapshot(s, &stubMem{}); err == nil {
+		t.Error("dirty but invalid line accepted")
+	}
+
+	s = legacySnapshot(d.Snapshot())
+	s.Lines[0] = lane.LineState{Tag: 1, Dirty: true}
+	if _, err := FromSnapshot(s, &stubMem{}); err == nil {
+		t.Error("dirty but invalid line record accepted")
+	}
+
+	s = d.Snapshot()
+	s.State[0] = lane.Valid | 1<<5
+	if _, err := FromSnapshot(s, &stubMem{}); err == nil {
+		t.Error("unknown state bits accepted")
+	}
+
+	s = d.Snapshot()
+	s.Hot = legacySnapshot(d.Snapshot()).Hot
+	if _, err := FromSnapshot(s, &stubMem{}); err == nil {
+		t.Error("snapshot with both lanes and records accepted")
+	}
+
+	s = Snapshot{Params: good.Params, Promote: good.Promote}
+	if _, err := FromSnapshot(s, &stubMem{}); err == nil {
+		t.Error("snapshot with no line state accepted")
 	}
 
 	s = good
 	s.Promote = 0
 	if _, err := FromSnapshot(s, &stubMem{}); err == nil {
 		t.Error("out-of-range promote threshold accepted")
+	}
+}
+
+// legacySnapshot rewrites s into the record form that checkpoints used
+// before the lanes: Lines and Hot filled, every lane empty.
+func legacySnapshot(s Snapshot) Snapshot {
+	s.Lines = make([]lane.LineState, len(s.Tags))
+	for i, tag := range s.Tags {
+		s.Lines[i] = lane.LineState{Tag: tag, Valid: s.State[i]&lane.Valid != 0, Dirty: s.State[i]&lane.Dirty != 0}
+	}
+	s.Hot = make([]HotEntry, len(s.HotPages))
+	for i, page := range s.HotPages {
+		s.Hot[i] = HotEntry{Page: page, Count: s.HotCounts[i], Epoch: s.HotEpochs[i]}
+	}
+	s.Tags, s.State, s.HotPages, s.HotCounts, s.HotEpochs = nil, nil, nil, nil, nil
+	return s
+}
+
+// TestFromSnapshotReadsRecordForm: a snapshot in the record form of older
+// checkpoints restores to the same tier as the lane form it was made from.
+func TestFromSnapshotReadsRecordForm(t *testing.T) {
+	d := mustNew(t, tinyParams(), &stubMem{})
+	for i := 0; i < 200; i++ {
+		d.Write(uint64(i*13%300)*LineBytes, 0) //mctlint:ignore cyclecast bounded loop arithmetic
+		d.Read(uint64(i*7%300)*LineBytes, 0)   //mctlint:ignore cyclecast bounded loop arithmetic
+	}
+	want := d.Snapshot()
+	r, err := FromSnapshot(legacySnapshot(want), &stubMem{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(want, r.Snapshot()) {
+		t.Fatal("record-form restore differs from the lane-form original")
+	}
+	dirty := 0
+	for _, b := range want.State {
+		if b&lane.Dirty != 0 {
+			dirty++
+		}
+	}
+	if dirty == 0 || want.Stats.Promotions == 0 {
+		t.Fatal("no dirty or promoted lines; the comparison is vacuous")
 	}
 }
 

@@ -431,6 +431,10 @@ func (c *Controller) Advance(t uint64) {
 	}
 	if c.cfg.WearQuota {
 		for c.nextSlice <= t {
+			if c.writeQLen == 0 && c.eagerQLen == 0 {
+				c.skipIdleSlices(t)
+				break
+			}
 			boundary := c.nextSlice
 			c.advanceBanks(boundary)
 			c.now = boundary
@@ -447,12 +451,44 @@ func (c *Controller) Advance(t uint64) {
 // of the budget implied by the target lifetime.
 func (c *Controller) updateWearQuota(atCycles uint64) {
 	c.st.TotalSlices++
-	targetCycles := c.cfg.WearQuotaTarget * SecondsPerYear * c.p.MemCyclesPerSec
-	allowance := float64(atCycles) / targetCycles * c.bankWearBudget()
-	c.forced = c.st.MaxBankWear() >= allowance
+	c.forced = c.forcedAt(atCycles)
 	if c.forced {
 		c.st.ForcedSlices++
 	}
+}
+
+// forcedAt reports whether the most-worn bank has used up its allowance
+// at atCycles.
+func (c *Controller) forcedAt(atCycles uint64) bool {
+	targetCycles := c.cfg.WearQuotaTarget * SecondsPerYear * c.p.MemCyclesPerSec
+	allowance := float64(atCycles) / targetCycles * c.bankWearBudget()
+	return c.st.MaxBankWear() >= allowance
+}
+
+// skipIdleSlices crosses every slice boundary in [nextSlice, t] with no
+// write queued, leaving the state exactly as one updateWearQuota per
+// boundary would, in O(log boundaries) instead of O(boundaries): a core
+// clock far ahead of the controller must not cost a walk over every
+// slice. With the queues empty no bank issues, so wear is constant, while
+// the allowance never decreases with time; the forced flag therefore
+// holds on a prefix of the boundaries, found by binary search.
+func (c *Controller) skipIdleSlices(t uint64) {
+	slice := c.p.WearQuotaSliceCycles
+	n := (t-c.nextSlice)/slice + 1
+	lo, hi := uint64(0), n // forced holds at boundaries [0, lo)
+	for lo < hi {
+		mid := lo + (hi-lo)/2
+		if c.forcedAt(c.nextSlice + mid*slice) {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	c.st.TotalSlices += n
+	c.st.ForcedSlices += lo
+	c.forced = lo == n
+	c.now = c.nextSlice + (n-1)*slice
+	c.nextSlice = c.now + slice
 }
 
 func (c *Controller) advanceBanks(t uint64) {

@@ -365,6 +365,62 @@ func TestWearQuotaForcesSlowWrites(t *testing.T) {
 	}
 }
 
+// TestIdleSliceSkipMatchesWalk: one Advance across many idle wear-quota
+// slices leaves the controller exactly as crossing them one boundary per
+// Advance does, including the slice in which the forced flag turns off.
+func TestIdleSliceSkipMatchesWalk(t *testing.T) {
+	p := smallParams()
+	p.WearQuotaSliceCycles = 1000
+	p.LinesPerBank = 1000
+	cfg := config.Default()
+	cfg.WearQuota = true
+	cfg.WearQuotaTarget = 10
+	c := mustNew(t, cfg, p)
+	now := uint64(0)
+	for i := 0; i < 2000; i++ {
+		now += 50
+		c.Write(uint64(i)*64, now)
+	}
+	for c.writeQLen+c.eagerQLen > 0 {
+		now += p.WearQuotaSliceCycles / 3
+		c.Advance(now)
+	}
+	if !c.forced {
+		t.Fatal("quota not binding once the queues drained; the comparison is vacuous")
+	}
+	// Queue eager writes behind one bank: the first boundaries pass with
+	// work queued, so Advance walks them before it may skip.
+	for i := 0; i < p.EagerQueueCap; i++ {
+		c.EagerWrite(uint64(i*p.Banks)*64, now)
+	}
+	if c.eagerQLen < 2 {
+		t.Fatal("no eager write left queued")
+	}
+	walk, skip := c.Clone(), c.Clone()
+
+	// Walk one boundary per Advance until the flag has been off for a while.
+	start := walk.nextSlice
+	offFor := 0
+	for offFor < 100 {
+		walk.Advance(walk.nextSlice)
+		if walk.forced {
+			offFor = 0
+		} else {
+			offFor++
+		}
+	}
+	end := walk.now + p.WearQuotaSliceCycles/2
+	walk.Advance(end)
+	if n := (end - start) / p.WearQuotaSliceCycles; n < 1000 {
+		t.Fatalf("only %d slices crossed; the skip is barely exercised", n)
+	}
+
+	skip.Advance(end)
+	if !reflect.DeepEqual(walk.Snapshot(), skip.Snapshot()) {
+		t.Errorf("skipped slices diverged from the walk:\nwalk: %+v\nskip: %+v", walk.Stats(), skip.Stats())
+	}
+}
+
 func TestWearQuotaImprovesLifetime(t *testing.T) {
 	p := smallParams()
 	p.WearQuotaSliceCycles = 1000

@@ -115,7 +115,10 @@ func nextID(records []jobRecord) int {
 func jobID(n int) string { return fmt.Sprintf("j%06d", n) }
 
 // writeFileAtomic writes data to path via a temp file and rename, so
-// readers — including a restarted server — never observe a torn file.
+// readers — including a server restarted after a crash or kill -9 — never
+// observe a torn file: they see the old contents or the new. Nothing is
+// fsynced, so power loss or an OS crash can still lose or truncate a
+// recent write.
 func writeFileAtomic(path string, data []byte) error {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, "."+filepath.Base(path)+".tmp-*")

@@ -90,10 +90,13 @@ func (o Options) Validate() error {
 	if o.CacheBytes <= 0 || o.CacheWays <= 0 {
 		return fmt.Errorf("sim: invalid cache geometry %d/%d", o.CacheBytes, o.CacheWays)
 	}
-	if o.BaseCPI <= 0 || o.CPUCyclesPerMemCycle <= 0 {
-		return fmt.Errorf("sim: invalid core model (CPI %g, ratio %g)", o.BaseCPI, o.CPUCyclesPerMemCycle)
+	// The core model is bounded, not just positive: a non-finite or absurd
+	// value drives the core clock to infinity within a few accesses, and an
+	// infinite clock has no memory-cycle time.
+	if !(o.BaseCPI > 0 && o.BaseCPI <= 100) || !(o.CPUCyclesPerMemCycle >= 0.01 && o.CPUCyclesPerMemCycle <= 100) || !(o.LLCHitCycles >= 0 && o.LLCHitCycles <= 1000) {
+		return fmt.Errorf("sim: invalid core model (CPI %g, ratio %g, LLC hit %g cycles)", o.BaseCPI, o.CPUCyclesPerMemCycle, o.LLCHitCycles)
 	}
-	if o.ReadStallFactor < 0 || o.ReadStallFactor > 1 || o.StoreStallFactor < 0 || o.StoreStallFactor > 1 {
+	if !(o.ReadStallFactor >= 0 && o.ReadStallFactor <= 1 && o.StoreStallFactor >= 0 && o.StoreStallFactor <= 1) {
 		return fmt.Errorf("sim: stall factors must be in [0,1]")
 	}
 	if err := o.Tiers.Validate(); err != nil {

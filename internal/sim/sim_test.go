@@ -35,6 +35,11 @@ func TestOptionsValidate(t *testing.T) {
 		func(o *Options) { o.CacheWays = 0 },
 		func(o *Options) { o.BaseCPI = 0 },
 		func(o *Options) { o.CPUCyclesPerMemCycle = 0 },
+		func(o *Options) { o.BaseCPI = math.Inf(1) },
+		func(o *Options) { o.BaseCPI = 1e300 },
+		func(o *Options) { o.CPUCyclesPerMemCycle = 1e-300 },
+		func(o *Options) { o.LLCHitCycles = math.NaN() },
+		func(o *Options) { o.ReadStallFactor = math.NaN() },
 		func(o *Options) { o.ReadStallFactor = 2 },
 		func(o *Options) { o.StoreStallFactor = -1 },
 		func(o *Options) { o.Params.Banks = 0 },

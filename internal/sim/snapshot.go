@@ -10,7 +10,6 @@
 package sim
 
 import (
-	"bytes"
 	"encoding/gob"
 	"fmt"
 	"os"
@@ -114,9 +113,18 @@ func (c *coreState) snapshot() CoreState {
 	}
 }
 
+// maxClockCycles bounds a restored core clock: up to 2^53 every cycle count
+// is an exact float64 (about 52 days of simulated time at 2 GHz, far beyond
+// any run); past it cycle arithmetic loses whole cycles, and an infinite
+// clock has no memory-cycle time at all.
+const maxClockCycles = 1 << 53
+
 func restoreCore(st CoreState) (coreState, error) {
-	if len(st.Gen.Spec.Phases) == 0 {
-		return coreState{}, fmt.Errorf("generator has no phases")
+	if err := st.Gen.Validate(); err != nil {
+		return coreState{}, err
+	}
+	if !(st.WinStartCycles >= 0 && st.WinStartCycles <= st.CPUCycles && st.CPUCycles <= maxClockCycles) || st.WinStartInsts > st.Insts {
+		return coreState{}, fmt.Errorf("clock %g cycles/%d insts is outside [window start %g/%d, %g cycles]", st.CPUCycles, st.Insts, st.WinStartCycles, st.WinStartInsts, float64(maxClockCycles))
 	}
 	return coreState{
 		gen:            trace.FromState(st.Gen),
@@ -127,13 +135,29 @@ func restoreCore(st CoreState) (coreState, error) {
 	}, nil
 }
 
-// Snapshot captures the machine's complete state. Pending window deltas
-// are published first, so the captured registry accounts everything up to
-// the snapshot point and a restored machine (whose publisher baselines are
-// rebased to the restored stats) continues without gaps or double counts.
+// Snapshot captures the machine's complete state. It shares nothing with
+// the machine. Pending window deltas are published first, so the captured
+// registry accounts everything up to the snapshot point and a restored
+// machine (whose publisher baselines are rebased to the restored stats)
+// continues without gaps or double counts.
+//
+//mctlint:ignore clonefields snapshotView references every field; Snapshot only detaches the line lanes it shares
+func (m *Machine) Snapshot() MachineState {
+	st := m.snapshotView()
+	st.LLC = st.LLC.Clone()
+	if st.DRAM != nil {
+		d := st.DRAM.Clone()
+		st.DRAM = &d
+	}
+	return st
+}
+
+// snapshotView is Snapshot with the LLC's and the DRAM tier's line lanes
+// shared with the machine, valid until it next steps. SaveCheckpoint
+// encodes one at once.
 //
 //mctlint:ignore clonefields batch is a scratch buffer, not state, and mem is derived wiring (dram or ctrl): a restored machine allocates its own buffer and rewires the seam from the restored tiers
-func (m *Machine) Snapshot() MachineState {
+func (m *Machine) snapshotView() MachineState {
 	var obsState *obs.State
 	if m.obsv != nil {
 		m.obsv.publish(m.llc.Stats(), m.ctrl.Stats(), m.dramStats(), false)
@@ -142,7 +166,7 @@ func (m *Machine) Snapshot() MachineState {
 	}
 	var dramState *dram.Snapshot
 	if m.dram != nil {
-		s := m.dram.Snapshot()
+		s := m.dram.SnapshotView()
 		dramState = &s
 	}
 	var extra []CoreState
@@ -155,7 +179,7 @@ func (m *Machine) Snapshot() MachineState {
 		DRAM:           dramState,
 		Options:        m.opt,
 		Gen:            c0.Gen,
-		LLC:            m.llc.Snapshot(),
+		LLC:            m.llc.SnapshotView(),
 		Ctrl:           m.ctrl.Snapshot(),
 		CPUCycles:      c0.CPUCycles,
 		Insts:          c0.Insts,
@@ -237,14 +261,18 @@ type checkpointEnvelope struct {
 }
 
 // SaveCheckpoint writes the machine's state to path (gob, versioned). The
-// write is atomic: a temp file in the target directory is renamed over path
-// only after a complete encode, so a crash never leaves a torn checkpoint.
+// write is atomic with respect to crashes of this process: the state is
+// encoded into a temp file in the target directory, which is renamed over
+// path only after a complete encode and close, and removed on any error. A
+// process crash or kill -9 at any point therefore leaves either the old
+// checkpoint or the new one, never a torn file. Nothing is fsynced, so
+// power loss or an OS crash can still lose or truncate a recent write.
 func SaveCheckpoint(path string, m *Machine) error {
-	var buf bytes.Buffer
-	env := checkpointEnvelope{Magic: checkpointMagic, Version: checkpointVersion, State: m.Snapshot()}
-	if err := gob.NewEncoder(&buf).Encode(env); err != nil {
-		return fmt.Errorf("sim: encode checkpoint: %w", err)
-	}
+	return writeCheckpoint(path, m.snapshotView())
+}
+
+// writeCheckpoint is SaveCheckpoint for an already captured state.
+func writeCheckpoint(path string, st MachineState) error {
 	dir := filepath.Dir(path)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
@@ -254,9 +282,12 @@ func SaveCheckpoint(path string, m *Machine) error {
 		return err
 	}
 	defer os.Remove(tmp.Name()) //mctlint:ignore uncheckederr best-effort cleanup; after a successful rename the temp path no longer exists
-	if _, err := tmp.Write(buf.Bytes()); err != nil {
-		tmp.Close() //mctlint:ignore uncheckederr the write error is the one worth reporting; the temp file is removed either way
-		return err
+	// gob buffers each message itself, so encoding straight into the file
+	// writes the checkpoint without a second full-size copy.
+	env := checkpointEnvelope{Magic: checkpointMagic, Version: checkpointVersion, State: st}
+	if err := gob.NewEncoder(tmp).Encode(env); err != nil {
+		tmp.Close() //mctlint:ignore uncheckederr the encode error is the one worth reporting; the temp file is removed either way
+		return fmt.Errorf("sim: encode checkpoint: %w", err)
 	}
 	if err := tmp.Close(); err != nil {
 		return err

@@ -1,13 +1,16 @@
 package sim
 
 import (
+	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
 
-	"mct/internal/cache"
 	"mct/internal/config"
+	"mct/internal/dram"
+	"mct/internal/lane"
 	"mct/internal/trace"
 )
 
@@ -192,10 +195,14 @@ func TestRestoreMachineRejectsCorruptState(t *testing.T) {
 		t.Fatal(err)
 	}
 	runWindow(m, 30_000)
-	good := m.Snapshot()
-	if _, err := RestoreMachine(good); err != nil {
-		t.Fatalf("valid state rejected: %v", err)
+	tiered := mustTiered(t, "lbm", config.StaticBaseline())
+	runWindow(tiered, 30_000)
+	for _, mm := range []*Machine{m, tiered} {
+		if _, err := RestoreMachine(mm.Snapshot()); err != nil {
+			t.Fatalf("valid state rejected: %v", err)
+		}
 	}
+	good := m.Snapshot()
 	opBank := -1
 	for i, b := range good.Ctrl.Banks {
 		if b.Op != nil {
@@ -209,23 +216,136 @@ func TestRestoreMachineRejectsCorruptState(t *testing.T) {
 
 	cases := []struct {
 		name    string
+		m       *Machine
 		corrupt func(st *MachineState)
 	}{
-		{"controller write queue length", func(st *MachineState) { st.Ctrl.WriteQLen += 3 }},
-		{"controller eager queue length", func(st *MachineState) { st.Ctrl.EagerQLen += 3 }},
-		{"in-flight token out of range", func(st *MachineState) { st.Ctrl.Banks[opBank].Op.Token = len(st.Ctrl.Tokens) }},
-		{"LLC line dirty but not valid", func(st *MachineState) { st.LLC.Lines[0] = cache.LineState{Tag: 1, Dirty: true} }},
-		{"extra core generator without phases", func(st *MachineState) {
+		{"controller write queue length", m, func(st *MachineState) { st.Ctrl.WriteQLen += 3 }},
+		{"controller eager queue length", m, func(st *MachineState) { st.Ctrl.EagerQLen += 3 }},
+		{"in-flight token out of range", m, func(st *MachineState) { st.Ctrl.Banks[opBank].Op.Token = len(st.Ctrl.Tokens) }},
+		{"LLC line dirty but not valid", m, func(st *MachineState) { st.LLC.Tags[0], st.LLC.State[0] = 1, lane.Dirty }},
+		{"LLC line record dirty but not valid", m, func(st *MachineState) {
+			*st = recordForm(*st)
+			st.LLC.Lines[0] = lane.LineState{Tag: 1, Dirty: true}
+		}},
+		{"LLC lane lengths disagree with geometry", m, func(st *MachineState) { st.LLC.Tags = st.LLC.Tags[:len(st.LLC.Tags)-1] }},
+		{"DRAM line dirty but not valid", tiered, func(st *MachineState) { st.DRAM.State[0] = lane.Dirty }},
+		{"DRAM line record dirty but not valid", tiered, func(st *MachineState) {
+			*st = recordForm(*st)
+			st.DRAM.Lines[0] = lane.LineState{Tag: 1, Dirty: true}
+		}},
+		{"DRAM lane lengths disagree with geometry", tiered, func(st *MachineState) {
+			st.DRAM.State = st.DRAM.State[:len(st.DRAM.State)/2]
+			st.DRAM.HotCounts = st.DRAM.HotCounts[:1]
+		}},
+		{"core clock not finite", m, func(st *MachineState) { st.CPUCycles = math.Inf(1) }},
+		{"core clock past its bound", m, func(st *MachineState) { st.CPUCycles = 1e300 }},
+		{"window start after the clock", m, func(st *MachineState) { st.WinStartCycles = st.CPUCycles + 1 }},
+		{"generator phase index out of range", m, func(st *MachineState) { st.Gen.PhaseIdx = len(st.Gen.Spec.Phases) }},
+		{"extra core generator without phases", m, func(st *MachineState) {
 			st.Cores = []CoreState{{Gen: st.Gen}}
 			st.Cores[0].Gen.Spec.Phases = nil
 		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			st := m.Snapshot()
+			st := tc.m.Snapshot()
 			tc.corrupt(&st)
 			if _, err := RestoreMachine(st); err == nil {
 				t.Error("corrupt state restored")
+			}
+		})
+	}
+}
+
+// recordForm rewrites st into the record shape that checkpoints had before
+// the line lanes: LLC.Lines, DRAM.Lines and DRAM.Hot filled, every lane
+// empty.
+func recordForm(st MachineState) MachineState {
+	llc := st.LLC
+	llc.Lines = make([]lane.LineState, len(llc.Tags))
+	for i, tag := range llc.Tags {
+		llc.Lines[i] = lane.LineState{Tag: tag, Valid: llc.State[i]&lane.Valid != 0, Dirty: llc.State[i]&lane.Dirty != 0}
+	}
+	llc.Tags, llc.State = nil, nil
+	st.LLC = llc
+	if st.DRAM != nil {
+		d := *st.DRAM
+		d.Lines = make([]lane.LineState, len(d.Tags))
+		for i, tag := range d.Tags {
+			d.Lines[i] = lane.LineState{Tag: tag, Valid: d.State[i]&lane.Valid != 0, Dirty: d.State[i]&lane.Dirty != 0}
+		}
+		d.Hot = make([]dram.HotEntry, len(d.HotPages))
+		for i, page := range d.HotPages {
+			d.Hot[i] = dram.HotEntry{Page: page, Count: d.HotCounts[i], Epoch: d.HotEpochs[i]}
+		}
+		d.Tags, d.State, d.HotPages, d.HotCounts, d.HotEpochs = nil, nil, nil, nil, nil
+		st.DRAM = &d
+	}
+	return st
+}
+
+// TestLoadCheckpointReadsRecordForm: a checkpoint file whose line state is
+// in the record form written before the lanes existed (LLC.Lines,
+// DRAM.Lines, DRAM.Hot) still loads, under the same envelope version, and
+// continues byte-identically to a clone of the machine it was taken from.
+func TestLoadCheckpointReadsRecordForm(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		m    *Machine
+	}{
+		{"nvm-only", mustMachine(t, "lbm", config.StaticBaseline())},
+		{"dram-tier", mustTiered(t, "lbm", config.StaticBaseline())},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := tc.m
+			m.RunInstructions(300_000)
+			m.StepInstructions(123_457) // cut mid-window
+			old := recordForm(m.Snapshot())
+			if len(old.LLC.Tags) != 0 || len(old.LLC.Lines) == 0 {
+				t.Fatal("record-form state still carries LLC lanes")
+			}
+			path := filepath.Join(t.TempDir(), "old.ckpt")
+			if err := writeCheckpoint(path, old); err != nil {
+				t.Fatal(err)
+			}
+			r, err := LoadCheckpoint(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			src, got := m.Snapshot(), r.Snapshot()
+			if !reflect.DeepEqual(src.LLC, got.LLC) || !reflect.DeepEqual(src.DRAM, got.DRAM) {
+				t.Fatal("record-form checkpoint restored different line state")
+			}
+			want := m.Clone()
+			want.StepInstructions(200_000)
+			r.StepInstructions(200_000)
+			if w, g := fmt.Sprintf("%+v", want.WindowMetrics()), fmt.Sprintf("%+v", r.WindowMetrics()); w != g {
+				t.Errorf("record-form checkpoint diverged\nsource clone: %s\nloaded:       %s", w, g)
+			}
+		})
+	}
+}
+
+// TestLoadCheckpointReadsRecordFiles: checkpoint files written before the
+// line lanes existed still load and continue exactly. Each
+// testdata/records-*.ckpt was saved by that encoder mid-window, from ocean
+// on a small NVM-only or DRAM-tier machine under config.Default(), and its
+// .txt holds the window metrics that machine printed 200,000 instructions
+// later.
+func TestLoadCheckpointReadsRecordFiles(t *testing.T) {
+	for _, name := range []string{"nvm", "dram"} {
+		t.Run(name, func(t *testing.T) {
+			m, err := LoadCheckpoint(filepath.Join("testdata", "records-"+name+".ckpt"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := os.ReadFile(filepath.Join("testdata", "records-"+name+".txt"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			m.StepInstructions(200_000)
+			if got := fmt.Sprintf("%+v\n", m.WindowMetrics()); got != string(want) {
+				t.Errorf("record-form file diverged\nwant: %s got:  %s", want, got)
 			}
 		})
 	}
@@ -259,7 +379,7 @@ func TestPreparedWarmColdEquivalence(t *testing.T) {
 	}
 }
 
-func mustSpec(t *testing.T, name string) trace.Spec {
+func mustSpec(t testing.TB, name string) trace.Spec {
 	t.Helper()
 	spec, err := trace.ByName(name)
 	if err != nil {

@@ -13,6 +13,7 @@ package trace
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"mct/internal/rng"
@@ -187,6 +188,34 @@ func (g *Generator) Snapshot() GeneratorState {
 		BurstPos:   g.burstPos,
 		AddrBase:   g.addrBase,
 	}
+}
+
+// Validate checks that a generator rebuilt from st can run: the spec has
+// phases, every phase's rates and fractions are in range (NaN is not), and
+// the phase index points into the schedule. A state captured with Snapshot
+// always passes.
+func (st GeneratorState) Validate() error {
+	if len(st.Spec.Phases) == 0 {
+		return fmt.Errorf("trace: generator has no phases")
+	}
+	for i, ph := range st.Spec.Phases {
+		if !(ph.MPKI > 0 && ph.MPKI <= math.MaxFloat64) {
+			return fmt.Errorf("trace: phase %d has MPKI %g", i, ph.MPKI)
+		}
+		if !(ph.WriteFrac >= 0 && ph.WriteFrac <= 1 && ph.HotFrac >= 0 && ph.HotFrac <= 1) {
+			return fmt.Errorf("trace: phase %d has write/hot fractions %g/%g outside [0,1]", i, ph.WriteFrac, ph.HotFrac)
+		}
+		if !(ph.IdleMul >= 0 && ph.IdleMul <= math.MaxFloat64) {
+			return fmt.Errorf("trace: phase %d has idle multiplier %g", i, ph.IdleMul)
+		}
+		if ph.Pattern > Random {
+			return fmt.Errorf("trace: phase %d has unknown pattern %d", i, ph.Pattern)
+		}
+	}
+	if st.PhaseIdx < 0 || st.PhaseIdx >= len(st.Spec.Phases) {
+		return fmt.Errorf("trace: phase index %d outside [0,%d)", st.PhaseIdx, len(st.Spec.Phases))
+	}
+	return nil
 }
 
 // FromState rebuilds a generator from a state captured with Snapshot; the

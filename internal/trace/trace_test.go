@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -367,4 +368,43 @@ func TestSnapshotCutMidBurst(t *testing.T) {
 		}
 	}
 	t.Fatal("never observed a mid-quiet-span position in 50k accesses")
+}
+
+// TestGeneratorStateValidate: every registered benchmark's state validates,
+// mid-run too, and a state the generator could not run is rejected (a NaN
+// MPKI stalls the instruction count; a bad phase index panics in Next).
+func TestGeneratorStateValidate(t *testing.T) {
+	for _, name := range Names() {
+		spec, err := ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g := NewGenerator(spec, rng.NewRand(1))
+		Collect(g, 5000)
+		if err := g.Snapshot().Validate(); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+	}
+	spec, err := ByName("ocean")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, corrupt := range map[string]func(*GeneratorState){
+		"no phases":          func(st *GeneratorState) { st.Spec.Phases = nil },
+		"phase index":        func(st *GeneratorState) { st.PhaseIdx = len(st.Spec.Phases) },
+		"negative index":     func(st *GeneratorState) { st.PhaseIdx = -1 },
+		"NaN MPKI":           func(st *GeneratorState) { st.Spec.Phases[0].MPKI = math.NaN() },
+		"zero MPKI":          func(st *GeneratorState) { st.Spec.Phases[0].MPKI = 0 },
+		"write fraction":     func(st *GeneratorState) { st.Spec.Phases[0].WriteFrac = 1.5 },
+		"NaN hot fraction":   func(st *GeneratorState) { st.Spec.Phases[0].HotFrac = math.NaN() },
+		"infinite idle gaps": func(st *GeneratorState) { st.Spec.Phases[0].IdleMul = math.Inf(1) },
+		"unknown pattern":    func(st *GeneratorState) { st.Spec.Phases[0].Pattern = Random + 1 },
+	} {
+		st := NewGenerator(spec, rng.NewRand(1)).Snapshot()
+		st.Spec.Phases = append([]Phase(nil), st.Spec.Phases...)
+		corrupt(&st)
+		if err := st.Validate(); err == nil {
+			t.Errorf("%s: corrupt state validated", name)
+		}
+	}
 }
