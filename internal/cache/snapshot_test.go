@@ -123,10 +123,7 @@ func TestFromSnapshotValidates(t *testing.T) {
 // legacySnapshot rewrites s into the record form that checkpoints used
 // before the lanes: Lines filled, Tags and State empty.
 func legacySnapshot(s Snapshot) Snapshot {
-	s.Lines = make([]lane.LineState, len(s.Tags))
-	for i, tag := range s.Tags {
-		s.Lines[i] = lane.LineState{Tag: tag, Valid: s.State[i]&lane.Valid != 0, Dirty: s.State[i]&lane.Dirty != 0}
-	}
+	s.Lines = lane.ToRecords(s.Tags, s.State)
 	s.Tags, s.State = nil, nil
 	return s
 }

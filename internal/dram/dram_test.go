@@ -428,10 +428,7 @@ func TestFromSnapshotRejects(t *testing.T) {
 // legacySnapshot rewrites s into the record form that checkpoints used
 // before the lanes: Lines and Hot filled, every lane empty.
 func legacySnapshot(s Snapshot) Snapshot {
-	s.Lines = make([]lane.LineState, len(s.Tags))
-	for i, tag := range s.Tags {
-		s.Lines[i] = lane.LineState{Tag: tag, Valid: s.State[i]&lane.Valid != 0, Dirty: s.State[i]&lane.Dirty != 0}
-	}
+	s.Lines = lane.ToRecords(s.Tags, s.State)
 	s.Hot = make([]HotEntry, len(s.HotPages))
 	for i, page := range s.HotPages {
 		s.Hot[i] = HotEntry{Page: page, Count: s.HotCounts[i], Epoch: s.HotEpochs[i]}

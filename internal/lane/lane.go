@@ -5,9 +5,9 @@
 // gob encodes a plain []uint64 element by element, at about 13 ns per
 // element: for the DRAM tier's 262,144 tags that alone was most of a
 // checkpoint's encode time. A Uint64s instead encodes itself as one byte
-// string of unsigned varints with zero runs collapsed, which gob copies in
-// a single write, and decodes the same way. gob already writes the
-// []uint8 state lane as one byte string.
+// string of unsigned varints, which gob copies in a single write, and
+// decodes the same way. gob already writes the []uint8 state lane as one
+// byte string.
 package lane
 
 import (
@@ -47,6 +47,16 @@ func FromRecords(lines []LineState) (Uint64s, []uint8) {
 	return tags, state
 }
 
+// ToRecords converts a tag lane and a state lane to record-form lines, the
+// inverse of FromRecords.
+func ToRecords(tags []uint64, state []uint8) []LineState {
+	lines := make([]LineState, len(tags))
+	for i, tag := range tags {
+		lines[i] = LineState{Tag: tag, Valid: state[i]&Valid != 0, Dirty: state[i]&Dirty != 0}
+	}
+	return lines
+}
+
 // CheckState rejects a state lane holding a byte no run produces: unknown
 // bits, or a line that is dirty but not valid.
 func CheckState(state []uint8) error {
@@ -62,72 +72,43 @@ func CheckState(state []uint8) error {
 }
 
 // Uint64s is a []uint64 that gob-encodes as one packed byte string: the
-// element count, then the elements as unsigned varints, except that a run
-// of up to maxZeroRun zeros is written as a 0 and the run's length. Most
-// of a DRAM tier's lines are invalid, with tag 0, so the runs shrink its
-// tag lane about threefold.
+// element count, then each element as an unsigned varint.
 type Uint64s []uint64
-
-// maxZeroRun is the longest zero run one marker encodes. Its length byte
-// stays a one-byte varint, and a decoder can bound the element count by
-// the payload size: every two bytes yield at most maxZeroRun elements.
-const maxZeroRun = 127
 
 // GobEncode implements gob.GobEncoder.
 func (l Uint64s) GobEncode() ([]byte, error) {
-	// Two bytes per element hold every tag below 2^14 with room to spare
-	// for the zero runs; larger values grow the buffer.
+	// Two bytes per element hold every tag below 2^14; larger values grow
+	// the buffer.
 	buf := binary.AppendUvarint(make([]byte, 0, binary.MaxVarintLen64+2*len(l)), uint64(len(l)))
-	for i := 0; i < len(l); {
-		if l[i] != 0 {
-			buf = binary.AppendUvarint(buf, l[i])
-			i++
-			continue
-		}
-		r := 1
-		for r < maxZeroRun && i+r < len(l) && l[i+r] == 0 {
-			r++
-		}
-		buf = append(buf, 0, byte(r))
-		i += r
+	for _, x := range l {
+		buf = binary.AppendUvarint(buf, x)
 	}
 	return buf, nil
 }
 
-// GobDecode implements gob.GobDecoder. It rejects a count larger than the
-// payload can hold, so a corrupt count cannot allocate more than
-// maxZeroRun/2 times the input's size.
+// GobDecode implements gob.GobDecoder. Every element takes at least one
+// payload byte, so it rejects a count larger than the payload before
+// allocating: a corrupt count cannot demand more than 8 bytes of lane per
+// payload byte, the same bound as a plain gob []uint64.
 func (l *Uint64s) GobDecode(b []byte) error {
 	n, k := binary.Uvarint(b)
 	if k <= 0 {
 		return errors.New("lane: bad element count")
 	}
 	b = b[k:]
-	if n > maxZeroRun*uint64(len(b)/2+1) {
+	if n > uint64(len(b)) {
 		return fmt.Errorf("lane: %d elements in a %d-byte payload", n, len(b))
 	}
-	out := make(Uint64s, 0, n)
-	for len(b) > 0 {
+	out := make(Uint64s, n)
+	for i := range out {
 		x, k := binary.Uvarint(b)
 		if k <= 0 {
-			return fmt.Errorf("lane: bad element %d", len(out))
+			return fmt.Errorf("lane: bad element %d", i)
 		}
-		b = b[k:]
-		r := 1
-		if x == 0 {
-			if len(b) == 0 || b[0] == 0 || b[0] > maxZeroRun {
-				return fmt.Errorf("lane: bad zero run at element %d", len(out))
-			}
-			r, b = int(b[0]), b[1:]
-		}
-		if len(out)+r > cap(out) {
-			return fmt.Errorf("lane: more than %d elements", n)
-		}
-		out = append(out, x)
-		out = out[:len(out)+r-1] // the rest of a zero run; make zeroed it
+		out[i], b = x, b[k:]
 	}
-	if uint64(len(out)) != n {
-		return fmt.Errorf("lane: %d of %d elements", len(out), n)
+	if len(b) != 0 {
+		return fmt.Errorf("lane: %d bytes after the last element", len(b))
 	}
 	*l = out
 	return nil

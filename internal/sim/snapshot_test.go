@@ -262,18 +262,12 @@ func TestRestoreMachineRejectsCorruptState(t *testing.T) {
 // empty.
 func recordForm(st MachineState) MachineState {
 	llc := st.LLC
-	llc.Lines = make([]lane.LineState, len(llc.Tags))
-	for i, tag := range llc.Tags {
-		llc.Lines[i] = lane.LineState{Tag: tag, Valid: llc.State[i]&lane.Valid != 0, Dirty: llc.State[i]&lane.Dirty != 0}
-	}
+	llc.Lines = lane.ToRecords(llc.Tags, llc.State)
 	llc.Tags, llc.State = nil, nil
 	st.LLC = llc
 	if st.DRAM != nil {
 		d := *st.DRAM
-		d.Lines = make([]lane.LineState, len(d.Tags))
-		for i, tag := range d.Tags {
-			d.Lines[i] = lane.LineState{Tag: tag, Valid: d.State[i]&lane.Valid != 0, Dirty: d.State[i]&lane.Dirty != 0}
-		}
+		d.Lines = lane.ToRecords(d.Tags, d.State)
 		d.Hot = make([]dram.HotEntry, len(d.HotPages))
 		for i, page := range d.HotPages {
 			d.Hot[i] = dram.HotEntry{Page: page, Count: d.HotCounts[i], Epoch: d.HotEpochs[i]}
