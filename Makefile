@@ -47,12 +47,17 @@ race:
 # the parallel-determinism tests exercise the engine, this exercises the CLI
 # and the bench harness. The batched-step-loop benchmark is the streaming
 # pipeline's allocation gate: its companion test asserts exactly 0
-# allocs/op at steady state.
+# allocs/op at steady state. The ML lines do the same for the MCT decision
+# step: a gboost fit allocates per fit, not per tree or node, and
+# predicting the space allocates nothing.
 bench-smoke:
 	$(GO) run ./cmd/mctbench -experiment space -quick -quiet
 	$(GO) test -run '^$$' -bench 'BenchmarkEvaluate(WarmClone|ColdRebuild)' -benchtime 5x .
 	$(GO) test -run '^$$' -bench 'Benchmark(Tiered)?BatchedStepLoop' -benchtime 200000x ./internal/sim
 	$(GO) test -run 'Test(Tiered)?BatchedStepLoopZeroAllocs' -count 1 ./internal/sim
+	$(GO) test -run '^$$' -bench 'Benchmark(GBoostFit|PredictSpace|TradeoffPredictAll)$$' -benchtime 5x .
+	$(GO) test -run 'TestGBoost(PredictRowsZeroAllocs|FitAllocsIndependentOfTrees)' -count 1 ./internal/ml
+	$(GO) test -run 'TestPredictAllIntoZeroAllocs' -count 1 ./internal/core
 
 # Memory-boundedness smoke: stream a 50M-access evaluation under a fixed
 # GOMEMLIMIT and fail unless cumulative allocation stays far below what
@@ -101,7 +106,11 @@ serve-smoke:
 # Short fuzz of checkpoint loading: every garbled checkpoint file must
 # either fail to load or restore a machine that steps without panicking.
 # `go test` runs the seed corpus (fresh NVM-only and DRAM-tier checkpoints).
+# Then a short differential fuzz of gradient boosting against the reference
+# implementation in internal/ml/reference_test.go: predictions must match
+# bit for bit.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzLoadCheckpoint$$' -fuzztime 30s -fuzzminimizetime 1x ./internal/sim
+	$(GO) test -run '^$$' -fuzz '^FuzzGBoostMatchesReference$$' -fuzztime 10s -fuzzminimizetime 1x ./internal/ml
 
 verify: build vet lint test perfbench-test race bench-smoke mem-smoke serve-smoke fuzz-smoke

@@ -363,6 +363,7 @@ func BenchmarkGBoostFit(b *testing.B) {
 		X[i] = c.Vector()
 		y[i] = c.FastLatency + c.SlowLatency
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		gb := ml.NewGBoost(ml.DefaultGBoostOptions())
@@ -392,7 +393,7 @@ func BenchmarkQuadraticLassoFit(b *testing.B) {
 }
 
 // BenchmarkPredictSpace measures predicting the full configuration space
-// (the per-decision inference cost of MCT).
+// for one objective (the per-decision inference cost of MCT per model).
 func BenchmarkPredictSpace(b *testing.B) {
 	space := mct.NewSpace(mct.SpaceOptions{})
 	X := make([][]float64, 77)
@@ -406,11 +407,40 @@ func BenchmarkPredictSpace(b *testing.B) {
 	if err := gb.Fit(X, y); err != nil {
 		b.Fatal(err)
 	}
+	rows := space.Vectors()
+	out := make([]float64, len(rows))
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for j := 0; j < space.Len(); j++ {
-			gb.Predict(space.At(j).Vector())
-		}
+		ml.PredictRows(gb, rows, out)
+	}
+}
+
+// BenchmarkTradeoffPredictAll measures one MCT decision's prediction step:
+// the three gboost objectives over the full configuration space, into a
+// reused buffer.
+func BenchmarkTradeoffPredictAll(b *testing.B) {
+	space := mct.NewSpace(mct.SpaceOptions{})
+	var samples []mct.Config
+	var measured []sim.Metrics
+	for i := 0; i < 77; i++ {
+		c := space.At(i * space.Len() / 77)
+		samples = append(samples, c)
+		measured = append(measured, sim.Metrics{IPC: 1 / c.FastLatency, LifetimeYears: c.SlowLatency, EnergyJ: c.FastLatency + c.SlowLatency})
+	}
+	tm, err := core.NewTradeoffModel(ml.NameGBoost)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := tm.Fit(samples, measured, sim.Metrics{IPC: 1, LifetimeYears: 1, EnergyJ: 1}); err != nil {
+		b.Fatal(err)
+	}
+	dst := make([][3]float64, space.Len())
+	tm.PredictAllInto(space, dst)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tm.PredictAllInto(space, dst)
 	}
 }
 

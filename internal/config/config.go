@@ -186,14 +186,20 @@ const VectorLen = 10
 //	 wear_quota, wear_quota_target, fast_latency, slow_latency,
 //	 fast_cancellation, slow_cancellation]
 func (c Config) Vector() []float64 {
+	v := make([]float64, VectorLen)
+	c.putVector(v)
+	return v
+}
+
+// putVector writes the Vector encoding into v (len VectorLen).
+func (c Config) putVector(v []float64) {
 	c = c.Canonical()
-	return []float64{
-		b2f(c.BankAware), float64(c.BankAwareThreshold),
-		b2f(c.EagerWritebacks), float64(c.EagerThreshold),
-		b2f(c.WearQuota), c.WearQuotaTarget,
-		c.FastLatency, c.SlowLatency,
-		b2f(c.FastCancellation), b2f(c.SlowCancellation),
-	}
+	_ = v[VectorLen-1]
+	v[0], v[1] = b2f(c.BankAware), float64(c.BankAwareThreshold)
+	v[2], v[3] = b2f(c.EagerWritebacks), float64(c.EagerThreshold)
+	v[4], v[5] = b2f(c.WearQuota), c.WearQuotaTarget
+	v[6], v[7] = c.FastLatency, c.SlowLatency
+	v[8], v[9] = b2f(c.FastCancellation), b2f(c.SlowCancellation)
 }
 
 // VectorNames returns the feature names matching Vector indices.

@@ -2,7 +2,9 @@ package config
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -252,6 +254,42 @@ func TestSpaceFilterAndDistinct(t *testing.T) {
 	for i := 1; i < len(vals); i++ {
 		if vals[i] <= vals[i-1] {
 			t.Fatal("DistinctValues not sorted")
+		}
+	}
+}
+
+// TestSpaceVectors: the shared feature matrix is each configuration's
+// Vector, in space order, and is built once however many goroutines ask
+// for it at the same time (a cached sweep's space is shared by workers).
+func TestSpaceVectors(t *testing.T) {
+	s := NewSpace(SpaceOptions{IncludeWearQuota: true})
+	const workers = 4
+	got := make([][][]float64, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			got[w] = s.Vectors()
+			s.DistinctValues(w)
+		}(w)
+	}
+	wg.Wait()
+	for w := 1; w < workers; w++ {
+		if &got[w][0][0] != &got[0][0][0] {
+			t.Fatal("Vectors built more than once")
+		}
+	}
+	rows := got[0]
+	if len(rows) != s.Len() {
+		t.Fatalf("%d rows for %d configurations", len(rows), s.Len())
+	}
+	for i, row := range rows {
+		if !slices.Equal(row, s.At(i).Vector()) {
+			t.Fatalf("row %d = %v, want %v", i, row, s.At(i).Vector())
+		}
+		if cap(row) != VectorLen {
+			t.Fatalf("row %d has capacity %d: an append would write into row %d", i, cap(row), i+1)
 		}
 	}
 }

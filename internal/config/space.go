@@ -1,6 +1,9 @@
 package config
 
-import "sort"
+import (
+	"sort"
+	"sync"
+)
 
 // Grid values for the discretized configuration space. The paper reports
 // 3,164 total configurations without giving the grids; with these grids the
@@ -110,9 +113,15 @@ func Enumerate(opt SpaceOptions) []Config {
 }
 
 // Space is an immutable, indexed view of an enumerated configuration space.
+// It is safe for concurrent use.
 type Space struct {
 	configs []Config
 	index   map[[10]int16]int
+
+	// vectors is the feature matrix, built on first use: NewSpace runs on
+	// setup paths that never predict.
+	vectorsOnce sync.Once
+	vectors     [][]float64
 }
 
 // NewSpace enumerates the space under opt and indexes it.
@@ -155,13 +164,29 @@ func (s *Space) Filter(keep func(Config) bool) []int {
 	return idx
 }
 
+// Vectors returns the Vector encoding of every configuration, in space
+// order, as rows of one contiguous matrix. It is built once, on first use,
+// and shared by every caller: callers must not modify it.
+func (s *Space) Vectors() [][]float64 {
+	s.vectorsOnce.Do(func() {
+		flat := make([]float64, len(s.configs)*VectorLen)
+		s.vectors = make([][]float64, len(s.configs))
+		for i, c := range s.configs {
+			row := flat[i*VectorLen : (i+1)*VectorLen : (i+1)*VectorLen]
+			c.putVector(row)
+			s.vectors[i] = row
+		}
+	})
+	return s.vectors
+}
+
 // DistinctValues returns the sorted distinct values of the d-th dimension of
 // the 10-dimensional vector encoding across the space. Useful for building
 // stratified (feature-based) sample grids.
 func (s *Space) DistinctValues(d int) []float64 {
 	seen := map[float64]bool{}
-	for _, c := range s.configs {
-		seen[c.Vector()[d]] = true
+	for _, v := range s.Vectors() {
+		seen[v[d]] = true
 	}
 	vals := make([]float64, 0, len(seen))
 	for v := range seen {

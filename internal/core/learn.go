@@ -12,11 +12,14 @@ import (
 // baseline-normalized targets (§4.4 "Normalization"): each model learns how
 // a configuration differs from the baseline, and predictions are
 // denormalized by the baseline's measured behaviour.
+//
+// A TradeoffModel is not safe for concurrent use.
 type TradeoffModel struct {
 	modelName string
 	preds     [3]ml.Predictor
 	baseline  [3]float64
 	fitted    bool
+	col       []float64 // PredictAllInto's per-objective scratch
 }
 
 // NewTradeoffModel constructs the three predictors for a model family name
@@ -89,13 +92,29 @@ func (tm *TradeoffModel) Predict(c config.Config) [3]float64 {
 	return out
 }
 
-// PredictAll predicts every configuration of a space.
+// PredictAll predicts every configuration of a space into a new slice.
 func (tm *TradeoffModel) PredictAll(space *config.Space) [][3]float64 {
 	out := make([][3]float64, space.Len())
-	for i := 0; i < space.Len(); i++ {
-		out[i] = tm.Predict(space.At(i))
-	}
+	tm.PredictAllInto(space, out)
 	return out
+}
+
+// PredictAllInto sets dst[i] to Predict(space.At(i)) for every
+// configuration; dst must hold space.Len() entries. Once the space's
+// feature matrix exists it allocates nothing.
+func (tm *TradeoffModel) PredictAllInto(space *config.Space, dst [][3]float64) {
+	rows := space.Vectors()
+	dst = dst[:len(rows)]
+	if cap(tm.col) < len(rows) {
+		tm.col = make([]float64, len(rows))
+	}
+	col := tm.col[:len(rows)]
+	for m, p := range tm.preds {
+		ml.PredictRows(p, rows, col)
+		for i, v := range col {
+			dst[i][m] = v * tm.baseline[m]
+		}
+	}
 }
 
 // Fitted reports whether Fit has succeeded.

@@ -56,6 +56,39 @@ func TestTradeoffModelFitPredict(t *testing.T) {
 	if len(preds) != space.Len() {
 		t.Fatal("PredictAll length mismatch")
 	}
+	// The batched path predicts exactly what Predict does, bit for bit.
+	for i, p := range preds {
+		want := tm.Predict(space.At(i))
+		for m := range p {
+			if math.Float64bits(p[m]) != math.Float64bits(want[m]) {
+				t.Fatalf("config %d metric %d: PredictAll %v, Predict %v", i, m, p[m], want[m])
+			}
+		}
+	}
+}
+
+// TestPredictAllIntoZeroAllocs: once the space's feature matrix exists,
+// predicting the whole space into a caller-owned buffer allocates nothing.
+func TestPredictAllIntoZeroAllocs(t *testing.T) {
+	space := config.NewSpace(config.SpaceOptions{})
+	var samples []config.Config
+	var measured []sim.Metrics
+	for i := 0; i < space.Len(); i += 27 {
+		c := space.At(i)
+		samples = append(samples, c)
+		measured = append(measured, sampleMetrics(1/c.FastLatency, c.SlowLatency, c.FastLatency))
+	}
+	tm, err := NewTradeoffModel("gboost")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tm.Fit(samples, measured, sampleMetrics(1, 1, 1)); err != nil {
+		t.Fatal(err)
+	}
+	dst := make([][3]float64, space.Len())
+	if a := testing.AllocsPerRun(5, func() { tm.PredictAllInto(space, dst) }); a != 0 {
+		t.Fatalf("PredictAllInto allocates %v times per call, want 0", a)
+	}
 }
 
 func TestTradeoffModelErrors(t *testing.T) {

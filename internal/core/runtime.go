@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"mct/internal/config"
 	"mct/internal/ml"
@@ -224,6 +225,8 @@ type Runtime struct {
 	model    *TradeoffModel
 	detector *phase.Detector
 	robs     *runtimeObs // nil when Options.Obs is nil
+	// preds is the prediction matrix, reused by every phase's decision.
+	preds [][3]float64
 }
 
 // New constructs an MCT runtime controlling machine under objective obj.
@@ -453,12 +456,16 @@ func (r *Runtime) runPhase(phaseNo int, budget uint64, overall, samplingAll, tes
 		if err := r.model.Fit(samples, measured, pr.Baseline); err != nil {
 			return pr, used, fmt.Errorf("core: learning failed: %w", err)
 		}
-		preds := r.model.PredictAll(r.space)
-		idx, ok := SelectOptimal(preds, r.obj)
+		if r.preds == nil {
+			r.preds = make([][3]float64, r.space.Len())
+		}
+		r.model.PredictAllInto(r.space, r.preds)
+		idx, ok := SelectOptimal(r.preds, r.obj)
 		pr.Decision.ChosenIndex = idx
 		pr.Decision.Satisfied = ok
 		if r.opt.KeepPredictions {
-			pr.Decision.Predictions = preds
+			// The buffer is overwritten by the next phase's decision.
+			pr.Decision.Predictions = slices.Clone(r.preds)
 		}
 		if idx >= 0 {
 			chosen = r.space.At(idx)

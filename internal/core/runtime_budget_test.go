@@ -1,9 +1,11 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"mct/internal/config"
+	"mct/internal/obs"
 	"mct/internal/sim"
 )
 
@@ -195,6 +197,51 @@ func TestPhaseChangeStartsNewLearningCycle(t *testing.T) {
 	}
 	if !res.Phases[0].PhaseChange {
 		t.Error("first phase record must mark the early end")
+	}
+}
+
+// TestKeptPredictionsAreNotAliased: the runtime predicts every phase into
+// one reused buffer, so each Decision.Predictions kept under
+// KeepPredictions must be its own copy, unchanged by later decisions.
+func TestKeptPredictionsAreNotAliased(t *testing.T) {
+	o := fakeRuntimeOptions()
+	o.HealthCheckEvery = 0
+	o.EnablePhaseDetection = true
+	o.Phase.ShortWindows = 3
+	o.Phase.LongWindows = 20
+	o.Phase.Threshold = 3
+	o.KeepPredictions = true
+	var rt *Runtime
+	var atDecision [][3]float64 // phase 0's predictions when it decided
+	o.Events = func(e obs.Event) {
+		if e.Kind == "decision" && e.Item == phaseItem(0) {
+			atDecision = slices.Clone(rt.preds)
+		}
+	}
+	f := &fakeSystem{trafficJumpAfter: 600_000}
+	rt = newFakeRuntime(t, f, o)
+
+	res, err := rt.Run(2_000_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Phases) < 2 {
+		t.Fatalf("need two decisions, got %d phase(s)", len(res.Phases))
+	}
+	p0, p1 := res.Phases[0].Decision.Predictions, res.Phases[1].Decision.Predictions
+	if len(p0) != rt.Space().Len() || len(p1) != rt.Space().Len() {
+		t.Fatalf("kept %d and %d predictions, want %d each", len(p0), len(p1), rt.Space().Len())
+	}
+	if &p0[0] == &p1[0] || &p0[0] == &rt.preds[0] || &p1[0] == &rt.preds[0] {
+		t.Fatal("kept predictions share a backing array")
+	}
+	if !slices.Equal(p0, atDecision) {
+		t.Fatal("phase 0's kept predictions changed after phase 1 decided")
+	}
+	// Phase 1 learned on different traffic; equal matrices would make the
+	// check above vacuous.
+	if slices.Equal(p0, p1) {
+		t.Fatal("phases 0 and 1 predicted identical matrices")
 	}
 }
 

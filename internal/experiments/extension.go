@@ -48,6 +48,12 @@ func RetentionExtension(ctx context.Context, benchmarks []string, lifetimeTarget
 		Optimize:         core.MetricEnergy,
 	}
 
+	rows := make([][]float64, len(space))
+	for i, c := range space {
+		rows[i] = c.Vector()
+	}
+	col := make([]float64, len(space))
+
 	accesses := opt.Accesses * 10
 	if accesses < 200_000 {
 		accesses = 200_000
@@ -88,7 +94,7 @@ func RetentionExtension(ctx context.Context, benchmarks []string, lifetimeTarget
 			ys[t] = make([]float64, len(sampleIdx))
 		}
 		for i, si := range sampleIdx {
-			X[i] = space[si].Vector()
+			X[i] = rows[si]
 			v := measured[si].Vector()
 			for t := 0; t < 3; t++ {
 				ys[t][i] = v[t]
@@ -100,8 +106,9 @@ func RetentionExtension(ctx context.Context, benchmarks []string, lifetimeTarget
 			if err := gb.Fit(X, ys[t]); err != nil {
 				return nil, nil, err
 			}
-			for i, c := range space {
-				predAll[i][t] = gb.Predict(c.Vector())
+			ml.PredictRows(gb, rows, col)
+			for i, v := range col {
+				predAll[i][t] = v
 			}
 		}
 		learnedPos, _ := core.SelectOptimal(predAll, obj)

@@ -305,7 +305,9 @@ func ModelComparison(ctx context.Context, sampleCounts []int, trials int, opt Op
 	}
 
 	// Measure fit+predict overhead at the 77-sample operating point, after
-	// every table is rendered.
+	// every table is rendered. Prediction takes the batch path the runtime
+	// takes.
+	predBuf := make([]float64, len(X))
 	for _, mname := range models {
 		var p ml.Predictor
 		var err error
@@ -328,9 +330,7 @@ func ModelComparison(ctx context.Context, sampleCounts []int, trials int, opt Op
 		if err := p.Fit(trX, trY); err != nil {
 			return nil, nil, err
 		}
-		for i := range X {
-			p.Predict(X[i])
-		}
+		ml.PredictRows(p, X, predBuf)
 		ms := float64(time.Since(start).Microseconds()) / 1000.0
 		res.FitMS[mname] = ms
 		emitf(opt, "fig2", mname, "fig2: %s fit+predict overhead %.3f ms", mname, ms)

@@ -31,8 +31,11 @@ func DefaultGBoostOptions() GBoostOptions {
 // regression models"). For squared loss, each round fits a tree to the
 // current residuals.
 type GBoost struct {
-	opt    GBoostOptions
-	trees  []*regTree
+	opt GBoostOptions
+	// nodes holds every tree, tree after tree; roots[t] is the index of
+	// tree t's root.
+	nodes  []treeNode
+	roots  []int
 	bias   float64
 	fitted bool
 }
@@ -77,36 +80,42 @@ func (g *GBoost) Fit(X [][]float64, y []float64) error {
 	}
 	bias /= float64(n)
 
-	resid := make([]float64, n)
-	for i, v := range y {
-		resid[i] = v - bias
-	}
-
-	topt := treeOptions{maxDepth: g.opt.Depth, minLeaf: g.opt.MinLeaf}
-	trees := make([]*regTree, 0, g.opt.Trees)
-	all := make([]int, n)
-	for i := range all {
-		all[i] = i
-	}
-
 	sampleSize := int(g.opt.Subsample * float64(n))
 	if sampleSize < 2 {
 		sampleSize = n
 	}
 
-	for round := 0; round < g.opt.Trees; round++ {
-		idx := all
+	resid := make([]float64, n)
+	for i, v := range y {
+		resid[i] = v - bias
+	}
+	f := newTreeFitter(X, resid, sampleSize, g.opt.Depth, g.opt.MinLeaf)
+	nodes := make([]treeNode, 0, g.opt.Trees*maxTreeNodes(g.opt.Depth, sampleSize))
+	roots := make([]int, g.opt.Trees)
+	rows := make([]int, n)
+	for t := range roots {
 		if sampleSize < n {
-			perm := r.Perm(n)
-			idx = perm[:sampleSize]
+			// r.Perm(n)[:sampleSize], drawn into the reused buffer: the
+			// same Intn sequence as rand.Perm, whose result does not
+			// depend on the buffer's previous contents.
+			for i := range rows {
+				j := r.Intn(i + 1)
+				rows[i] = rows[j]
+				rows[j] = i
+			}
+		} else {
+			for i := range rows {
+				rows[i] = i
+			}
 		}
-		t := fitTree(X, resid, idx, topt, 0)
-		trees = append(trees, t)
-		for i := 0; i < n; i++ {
-			resid[i] -= g.opt.Shrinkage * t.predict(X[i])
+		roots[t] = len(nodes)
+		nodes = f.grow(nodes, rows[:sampleSize], 0)
+		for i, x := range X {
+			resid[i] -= g.opt.Shrinkage * leafValue(nodes, roots[t], x)
 		}
 	}
-	g.trees = trees
+	g.nodes = nodes
+	g.roots = roots
 	g.bias = bias
 	g.fitted = true
 	return nil
@@ -118,8 +127,29 @@ func (g *GBoost) Predict(x []float64) float64 {
 		return 0
 	}
 	s := g.bias
-	for _, t := range g.trees {
-		s += g.opt.Shrinkage * t.predict(x)
+	for _, root := range g.roots {
+		s += g.opt.Shrinkage * leafValue(g.nodes, root, x)
 	}
 	return s
+}
+
+// PredictRows sets out[i] to Predict(rows[i]) for every row; out must hold
+// len(rows) entries. It walks the ensemble tree-outer, row-inner, so each
+// tree's nodes stay in cache across the batch, while each row still sums
+// bias + Σ shrinkage·leaf in tree order: every out[i] is bit-identical to
+// Predict(rows[i]). It allocates nothing.
+func (g *GBoost) PredictRows(rows [][]float64, out []float64) {
+	out = out[:len(rows)]
+	if !g.fitted {
+		clear(out)
+		return
+	}
+	for i := range out {
+		out[i] = g.bias
+	}
+	for _, root := range g.roots {
+		for i, x := range rows {
+			out[i] += g.opt.Shrinkage * leafValue(g.nodes, root, x)
+		}
+	}
 }

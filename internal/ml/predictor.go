@@ -30,6 +30,21 @@ type Predictor interface {
 	Name() string
 }
 
+// PredictRows sets out[i] to p.Predict(rows[i]) for every row; out must hold
+// len(rows) entries. A *GBoost predicts the whole batch in one call
+// (GBoost.PredictRows); any other predictor is called row by row. Either
+// way every out[i] is bit-identical to p.Predict(rows[i]).
+func PredictRows(p Predictor, rows [][]float64, out []float64) {
+	if g, ok := p.(*GBoost); ok {
+		g.PredictRows(rows, out)
+		return
+	}
+	out = out[:len(rows)]
+	for i, x := range rows {
+		out[i] = p.Predict(x)
+	}
+}
+
 // checkData validates the common Fit preconditions.
 func checkData(X [][]float64, y []float64) error {
 	if len(X) == 0 || len(X) != len(y) {

@@ -1,122 +1,190 @@
 package ml
 
-import "sort"
+import "math"
 
-// regTree is a depth-limited least-squares regression tree — the weak
-// learner of the gradient-boosting ensemble.
-type regTree struct {
-	// Internal node: feature/threshold with left (<=) and right (>)
-	// children. Leaf: value with left == nil.
-	feature   int
-	threshold float64
-	left      *regTree
-	right     *regTree
-	value     float64
+// treeNode is one node of a depth-limited least-squares regression tree —
+// the weak learner of the gradient-boosting ensemble. A GBoost keeps every
+// tree's nodes in one flat slice, tree after tree, each tree in preorder:
+// an internal node's left child is the next node, so only the right
+// child's index is stored.
+type treeNode struct {
+	// feature is the split feature of an internal node, or leafFeature.
+	feature int
+	// right is the index of an internal node's right (>) child.
+	right int
+	// value is an internal node's threshold (x[feature] <= value goes
+	// left) or a leaf's prediction.
+	value float64
 }
 
-type treeOptions struct {
-	maxDepth    int
-	minLeaf     int
-	minGain     float64
-	featureSubs []int // candidate features (nil = all)
-}
+const leafFeature = -1
 
-// fitTree builds a regression tree on rows idx of X/y.
-func fitTree(X [][]float64, y []float64, idx []int, opt treeOptions, depth int) *regTree {
-	mean := meanAt(y, idx)
-	if depth >= opt.maxDepth || len(idx) < 2*opt.minLeaf {
-		return &regTree{value: mean}
-	}
-	bestGain := opt.minGain
-	bestFeat, bestThr := -1, 0.0
-
-	features := opt.featureSubs
-	if features == nil {
-		features = make([]int, len(X[0]))
-		for j := range features {
-			features[j] = j
+// leafValue walks the tree whose root is nodes[root] for x.
+func leafValue(nodes []treeNode, root int, x []float64) float64 {
+	i := root
+	for {
+		n := &nodes[i]
+		if n.feature == leafFeature {
+			return n.value
+		}
+		if x[n.feature] <= n.value {
+			i++
+		} else {
+			i = n.right
 		}
 	}
+}
 
-	// Pre-compute total sums for gain evaluation.
-	var totSum float64
-	for _, i := range idx {
-		totSum += y[i]
+// treeFitter grows regression trees on a column-layout copy of the
+// training rows. Its buffers are sized once per Fit and reused by every
+// node of every tree, so growing a tree allocates nothing beyond the
+// nodes themselves.
+type treeFitter struct {
+	n, d     int
+	cols     []float64 // cols[j*n+i] is feature j of row i
+	y        []float64 // targets (the boosting residuals)
+	maxDepth int
+	minLeaf  int
+	pairs    []sortPair // per-feature (value, row) sort of a node's rows
+	spill    []int      // right-hand rows during a stable partition
+}
+
+// newTreeFitter lays X out by columns and sizes the node buffers for trees
+// grown on at most maxRows rows. y is the caller's target buffer.
+func newTreeFitter(X [][]float64, y []float64, maxRows, maxDepth, minLeaf int) *treeFitter {
+	n, d := len(X), len(X[0])
+	f := &treeFitter{
+		n: n, d: d,
+		cols:     make([]float64, n*d),
+		y:        y,
+		maxDepth: maxDepth,
+		minLeaf:  minLeaf,
+		pairs:    make([]sortPair, maxRows),
+		spill:    make([]int, 0, maxRows),
 	}
-	n := float64(len(idx))
+	for i, row := range X {
+		for j, v := range row {
+			f.cols[j*n+i] = v
+		}
+	}
+	return f
+}
 
-	order := make([]int, len(idx))
-	for _, j := range features {
-		copy(order, idx)
-		sort.Slice(order, func(a, b int) bool { return X[order[a]][j] < X[order[b]][j] })
+// col returns feature j over every training row.
+func (f *treeFitter) col(j int) []float64 { return f.cols[j*f.n : (j+1)*f.n] }
+
+// grow appends the tree fitted on rows (a non-empty slice of training row
+// indices) to nodes, at depth depth. It reorders rows: each child's rows
+// are a stable partition of its parent's, the order the children are fitted
+// in.
+func (f *treeFitter) grow(nodes []treeNode, rows []int, depth int) []treeNode {
+	var sum float64
+	for _, i := range rows {
+		sum += f.y[i]
+	}
+	at := len(nodes)
+	nodes = append(nodes, treeNode{feature: leafFeature, value: sum / float64(len(rows))})
+	if depth >= f.maxDepth || len(rows) < 2*f.minLeaf {
+		return nodes
+	}
+	feat, thr := f.bestSplit(rows, sum)
+	if feat < 0 {
+		return nodes
+	}
+	nl := f.partition(rows, feat, thr)
+	if nl == 0 || nl == len(rows) {
+		return nodes
+	}
+	nodes[at].feature, nodes[at].value = feat, thr
+	nodes = f.grow(nodes, rows[:nl], depth+1)
+	nodes[at].right = len(nodes)
+	return f.grow(nodes, rows[nl:], depth+1)
+}
+
+// bestSplit returns the feature and threshold of the split of rows that
+// most reduces the squared error, or feature -1 when no split reduces it.
+// sum is Σ y over rows.
+func (f *treeFitter) bestSplit(rows []int, sum float64) (feat int, thr float64) {
+	feat = -1
+	var bestGain float64
+	n := float64(len(rows))
+	pairs := f.pairs[:len(rows)]
+	for j := 0; j < f.d; j++ {
+		col := f.col(j)
+		// A column constant over the node offers no split point.
+		if constantOn(col, rows) {
+			continue
+		}
+		for k, i := range rows {
+			pairs[k] = sortPair{v: col[i], row: i}
+		}
+		sortPairs(pairs)
 
 		var leftSum float64
-		for k := 0; k < len(order)-1; k++ {
-			i := order[k]
-			leftSum += y[i]
-			// Can't split between equal feature values. The slice is
-			// sorted ascending on feature j, so adjacent values are equal
-			// exactly when the earlier one is not strictly smaller.
-			if !(X[order[k]][j] < X[order[k+1]][j]) {
+		for k := 0; k < len(pairs)-1; k++ {
+			leftSum += f.y[pairs[k].row]
+			// Can't split between equal feature values. The pairs are
+			// sorted ascending, so adjacent values are equal exactly when
+			// the earlier one is not strictly smaller.
+			if !(pairs[k].v < pairs[k+1].v) {
 				continue
 			}
-			nl := float64(k + 1)
-			nr := n - nl
-			if int(nl) < opt.minLeaf || int(nr) < opt.minLeaf {
+			nl := k + 1
+			if nl < f.minLeaf || len(pairs)-nl < f.minLeaf {
 				continue
 			}
-			rightSum := totSum - leftSum
+			fl := float64(nl)
+			fr := n - fl
+			rightSum := sum - leftSum
 			// SSE reduction = total SSE - (left SSE + right SSE); with
 			// the Σy² term fixed this maximizes leftSum²/nl + rightSum²/nr.
-			gain := leftSum*leftSum/nl + rightSum*rightSum/nr - totSum*totSum/n
+			gain := leftSum*leftSum/fl + rightSum*rightSum/fr - sum*sum/n
 			if gain > bestGain {
 				bestGain = gain
-				bestFeat = j
-				bestThr = (X[order[k]][j] + X[order[k+1]][j]) / 2
+				feat = j
+				thr = (pairs[k].v + pairs[k+1].v) / 2
 			}
 		}
 	}
-
-	if bestFeat < 0 {
-		return &regTree{value: mean}
-	}
-	var li, ri []int
-	for _, i := range idx {
-		if X[i][bestFeat] <= bestThr {
-			li = append(li, i)
-		} else {
-			ri = append(ri, i)
-		}
-	}
-	if len(li) == 0 || len(ri) == 0 {
-		return &regTree{value: mean}
-	}
-	return &regTree{
-		feature:   bestFeat,
-		threshold: bestThr,
-		left:      fitTree(X, y, li, opt, depth+1),
-		right:     fitTree(X, y, ri, opt, depth+1),
-	}
+	return feat, thr
 }
 
-func (t *regTree) predict(x []float64) float64 {
-	for t.left != nil {
-		if x[t.feature] <= t.threshold {
-			t = t.left
+// partition reorders rows so those with feature feat <= thr come first,
+// each side keeping its relative order, and returns how many went left.
+func (f *treeFitter) partition(rows []int, feat int, thr float64) int {
+	col := f.col(feat)
+	spill := f.spill[:0]
+	nl := 0
+	for _, i := range rows {
+		if col[i] <= thr {
+			rows[nl] = i
+			nl++
 		} else {
-			t = t.right
+			spill = append(spill, i)
 		}
 	}
-	return t.value
+	copy(rows[nl:], spill)
+	return nl
 }
 
-func meanAt(y []float64, idx []int) float64 {
-	if len(idx) == 0 {
-		return 0
+// constantOn reports whether col holds one bit pattern over rows. Only then
+// is every adjacent pair of the sorted column equal under <, so skipping the
+// column cannot change the chosen split.
+func constantOn(col []float64, rows []int) bool {
+	first := math.Float64bits(col[rows[0]])
+	for _, i := range rows[1:] {
+		if math.Float64bits(col[i]) != first {
+			return false
+		}
 	}
-	var s float64
-	for _, i := range idx {
-		s += y[i]
+	return true
+}
+
+// maxTreeNodes bounds the node count of one tree of depth at most depth
+// grown on rows rows: a full binary tree, and no more leaves than rows.
+func maxTreeNodes(depth, rows int) int {
+	if depth < 30 && 1<<(depth+1)-1 < 2*rows-1 {
+		return 1<<(depth+1) - 1
 	}
-	return s / float64(len(idx))
+	return 2*rows - 1
 }
