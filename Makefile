@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint lint-json lint-update test perfbench-test race bench-smoke sweep-bench obs-bench mem-smoke profile metrics-check serve-smoke fuzz-smoke verify
+.PHONY: all build vet lint lint-json test perfbench-test race bench-smoke obs-bench mem-smoke profile metrics-check serve-smoke fuzz-smoke verify
 
 all: verify
 
@@ -12,23 +12,15 @@ build:
 vet:
 	$(GO) vet ./...
 
-# Every rule in one pass over one program load, plus the CI artifacts: the
-# static call graph, the ranked hot-path allocation worklist and the
-# inferred guard domains. Stale baseline entries are fatal: the baseline
-# may only shrink (prune with `make lint-update`), never silently rot.
+# Every rule in one pass over one program load, plus the ranked hot-path
+# allocation worklist that TestStepWorklistMatchesSuppressions checks.
+# Suppression is inline only: //mctlint:ignore <rule> <reason>.
 lint:
-	$(GO) run ./cmd/mctlint -baseline lint/baseline.json -stale-fatal \
-		-graph-json results/callgraph.json -allochot-json results/allochot.json \
-		-guards-json results/guards.json ./...
+	$(GO) run ./cmd/mctlint -allochot-json results/allochot.json ./...
 
 # Machine-readable findings, as archived by CI. Exit code is preserved.
 lint-json:
-	$(GO) run ./cmd/mctlint -json -baseline lint/baseline.json ./...
-
-# Rewrite lint/baseline.json in one step, dropping entries no finding
-# matches anymore.
-lint-update:
-	$(GO) run ./cmd/mctlint -baseline lint/baseline.json -prune-baseline ./... || true
+	$(GO) run ./cmd/mctlint -json ./...
 
 test:
 	$(GO) test ./...
@@ -39,6 +31,8 @@ test:
 perfbench-test:
 	cd perfbench && $(GO) test ./...
 
+# The concurrency gate: data races are caught here, dynamically, not by a
+# lint rule. CI's race-full job runs the same thing uncached.
 race:
 	$(GO) test -race ./...
 
@@ -68,12 +62,6 @@ mem-smoke:
 # Capture CPU+heap pprof profiles of the quick sweeps into results/.
 profile:
 	$(GO) run ./cmd/mctbench -profile -quick -quiet
-
-# Wall-clock comparison of cold-rebuild vs warm-clone sweeps on every
-# benchmark; verifies the two are identical and writes
-# results/BENCH_sweep.json.
-sweep-bench:
-	$(GO) run ./cmd/mctbench -sweep-bench -quick -quiet
 
 # Observability overhead gate: the identical MCT run with and without a
 # metrics registry attached (best of 3 per arm) must stay within the

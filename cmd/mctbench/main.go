@@ -8,19 +8,10 @@
 //	mctbench -experiment all -quick        # everything, reduced fidelity
 //	mctbench -experiment fig1 -workers 8   # bound sweep parallelism
 //	mctbench -list                         # list experiment IDs
-//	mctbench -sweep-bench -quick           # time cold vs warm-clone sweeps
 //	mctbench -obs-bench                    # gate observability overhead
 //	mctbench -profile -quick               # pprof a sweep into results/
 //	mctbench -mem-smoke 50000000           # memory-boundedness smoke
 //	mctbench -experiment fig1 -quick -metrics-out results/BENCH_metrics.json
-//
-// -sweep-bench measures the warm-start refactor: for each benchmark it runs
-// the brute-force configuration sweep twice — cold (fresh machine plus full
-// warmup replay per configuration) and warm (one warmed machine cloned per
-// configuration) — verifies the two produce identical metrics, prints the
-// wall-clock comparison, and writes results/BENCH_sweep.json. Timing is
-// wall-clock and therefore machine-dependent; that is why this lives behind
-// a flag instead of in the deterministic experiment registry.
 //
 // Ctrl-C cancels gracefully: the current experiment aborts promptly, and
 // sweeps that already completed stay valid in the MCT_SWEEP_CACHE disk
@@ -83,7 +74,6 @@ func main() {
 		workers  = flag.Int("workers", 0, "parallel evaluation workers (0 = GOMAXPROCS)")
 		quiet    = flag.Bool("quiet", false, "suppress progress output")
 		asJSON   = flag.Bool("json", false, "emit structured JSON instead of text tables")
-		swBench  = flag.Bool("sweep-bench", false, "time cold-rebuild vs warm-clone sweeps and write results/BENCH_sweep.json")
 		obBench  = flag.Bool("obs-bench", false, "gate observability overhead and write results/BENCH_obs.json")
 		obMax    = flag.Float64("obs-overhead-max", 0.03, "maximum tolerated -obs-bench slowdown (fraction)")
 		profile  = flag.Bool("profile", false, "capture CPU, heap, mutex and block pprof profiles of the sweeps into results/")
@@ -132,12 +122,6 @@ func main() {
 	opt.Workers = *workers
 	if !*quiet {
 		opt.Events = mct.TextProgress(os.Stderr)
-	}
-	if *swBench {
-		if err := runSweepBench(ctx, opt); err != nil {
-			fail("sweep-bench", err)
-		}
-		return
 	}
 	if *obBench {
 		if err := runObsBench(ctx, *obMax); err != nil {
@@ -225,103 +209,14 @@ func writeFileMkdir(path string, data []byte) error {
 	return os.WriteFile(path, data, 0o644)
 }
 
-// sweepBenchRow is one benchmark's cold-vs-warm timing.
-type sweepBenchRow struct {
-	Benchmark   string  `json:"benchmark"`
-	Configs     int     `json:"configs"`
-	ColdSeconds float64 `json:"cold_seconds"`
-	WarmSeconds float64 `json:"warm_seconds"`
-	Speedup     float64 `json:"speedup"`
-	Identical   bool    `json:"identical"`
-}
-
-// sweepBenchReport is the results/BENCH_sweep.json payload.
-type sweepBenchReport struct {
-	Accesses         int             `json:"accesses"`
-	Stride           int             `json:"stride"`
-	Workers          int             `json:"workers"`
-	Rows             []sweepBenchRow `json:"rows"`
-	TotalColdSeconds float64         `json:"total_cold_seconds"`
-	TotalWarmSeconds float64         `json:"total_warm_seconds"`
-	Speedup          float64         `json:"speedup"`
-}
-
-// runSweepBench times the cold-rebuild sweep against the warm-clone sweep on
-// every selected benchmark and records the comparison in
-// results/BENCH_sweep.json.
-func runSweepBench(ctx context.Context, opt experiments.Options) error {
-	// Timing must measure real computation: neither the in-process nor the
-	// disk sweep cache may serve either side.
-	if err := os.Unsetenv("MCT_SWEEP_CACHE"); err != nil {
-		return err
-	}
-	rep := sweepBenchReport{Accesses: opt.Accesses, Stride: opt.Stride, Workers: opt.Workers}
-	for _, bench := range opt.Benchmarks {
-		cold := opt
-		cold.ColdSweep = true
-		experiments.ResetSweepCache()
-		t0 := time.Now()
-		sc, err := experiments.RunSweep(ctx, bench, false, cold)
-		if err != nil {
-			return err
-		}
-		coldSec := time.Since(t0).Seconds()
-
-		experiments.ResetSweepCache()
-		t1 := time.Now()
-		sw, err := experiments.RunSweep(ctx, bench, false, opt)
-		if err != nil {
-			return err
-		}
-		warmSec := time.Since(t1).Seconds()
-
-		row := sweepBenchRow{
-			Benchmark:   bench,
-			Configs:     len(sc.Indices) + 2, // evaluated configs + baseline + default
-			ColdSeconds: coldSec,
-			WarmSeconds: warmSec,
-			Speedup:     coldSec / warmSec,
-			Identical: reflect.DeepEqual(sc.Indices, sw.Indices) &&
-				reflect.DeepEqual(sc.Metrics, sw.Metrics) &&
-				reflect.DeepEqual(sc.Baseline, sw.Baseline) &&
-				reflect.DeepEqual(sc.Default, sw.Default),
-		}
-		rep.Rows = append(rep.Rows, row)
-		rep.TotalColdSeconds += coldSec
-		rep.TotalWarmSeconds += warmSec
-		fmt.Printf("%-10s %4d configs  cold %7.2fs  warm %7.2fs  speedup %.2fx  identical=%v\n",
-			bench, row.Configs, coldSec, warmSec, row.Speedup, row.Identical)
-		if !row.Identical {
-			return fmt.Errorf("%s: warm-clone sweep differs from cold rebuild (snapshot contract violated)", bench)
-		}
-	}
-	rep.Speedup = rep.TotalColdSeconds / rep.TotalWarmSeconds
-	fmt.Printf("total: cold %.2fs  warm %.2fs  speedup %.2fx\n",
-		rep.TotalColdSeconds, rep.TotalWarmSeconds, rep.Speedup)
-
-	out := filepath.Join("results", "BENCH_sweep.json")
-	if err := os.MkdirAll(filepath.Dir(out), 0o755); err != nil {
-		return err
-	}
-	data, err := json.MarshalIndent(&rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n", out)
-	return nil
-}
-
 // runProfile runs the selected benchmarks' warm sweeps under the CPU
 // profiler, then snapshots the heap, mutex-contention, and blocking
 // profiles, writing all four into results/. Caches are disabled so the
-// profile measures real simulation, and the sweeps are the same workload
-// -sweep-bench times — profile what you optimize. The mutex and block
-// profiles are the contention side of the story: the parallel engine's
-// fan-out is supposed to synchronize only at batch boundaries, and these
-// profiles are where a lock that crept onto the hot path shows up.
+// profile measures real simulation, and the sweeps are the warm-clone sweeps
+// perfbench's sweep workload times — profile what you optimize. The mutex
+// and block profiles are the contention side of the story: the parallel
+// engine's fan-out is supposed to synchronize only at batch boundaries, and
+// these profiles are where a lock that crept onto the hot path shows up.
 func runProfile(ctx context.Context, opt experiments.Options) error {
 	if err := os.Unsetenv("MCT_SWEEP_CACHE"); err != nil {
 		return err

@@ -13,18 +13,12 @@
 //	mctlint ./internal/sim               # one package
 //	mctlint -rules                       # list rules (severity, scope) and exit
 //	mctlint -json ./...                  # machine-readable findings (stable order)
-//	mctlint -baseline lint/baseline.json ./...  # fail only on NEW findings
-//	mctlint -baseline lint/baseline.json -stale-fatal ./...     # CI: stale entries fail
-//	mctlint -baseline lint/baseline.json -prune-baseline ./...  # rewrite dropping stale
-//	mctlint -graph-json graph.json ./...        # export the static call graph
-//	mctlint -allochot-json allocs.json ./...    # export the hot-path allocation worklist
-//	mctlint -guards-json guards.json ./...      # export inferred shared-variable guard domains
+//	mctlint -allochot-json allocs.json ./...  # export the hot-path allocation worklist
 //
 // Every run applies the whole registry in one pass. Rules are either
 // package-scoped (one pass per package) or program-scoped: the
-// interprocedural rules (detflow, allochot, lockflow), the concurrency
-// rules (racecand, atomicmix, chanmisuse) and nodeprecated run over a
-// whole-program view with a static call graph, built once from the
+// interprocedural rules (detflow, allochot, lockflow) and nodeprecated run
+// over a whole-program view with a static call graph, built once from the
 // transitive module dependencies of the requested packages — findings are
 // still reported only inside the requested packages.
 //
@@ -37,22 +31,12 @@
 // rule), with module-relative forward-slash paths, so the bytes are stable
 // across runs and machines — CI archives them as a build artifact.
 //
-// -baseline loads a committed findings file in the same JSON format and
-// subtracts it: only findings not in the baseline fail the run. Matching
-// ignores line numbers (edits above a finding must not churn the
-// baseline); each baseline entry absorbs at most one finding. Stale
-// baseline entries are reported on stderr; -stale-fatal makes them fail
-// the run (CI uses this so the baseline only ever shrinks), and
-// -prune-baseline rewrites the file in place keeping only entries that
-// still match a finding.
+// -allochot-json writes the ranked hot-path allocation worklist in
+// deterministic JSON, derived from the same program load as the findings;
+// results/allochot.json is its checked-in form.
 //
-// -graph-json writes the program's static call graph (nodes plus
-// call/dispatch/ref edges), -allochot-json the ranked hot-path allocation
-// worklist, and -guards-json the inferred guard domain of every shared
-// variable (atomic / lock / confined / mixed / escaped / unguarded, with
-// the goroutine contexts its accesses run under) — all in deterministic
-// JSON for CI artifacts, all derived from the same program load as the
-// findings.
+// Concurrency invariants are not linted: `go test -race` and `go vet`
+// enforce them.
 //
 // Suppress a finding with a trailing comment (or one on the line above):
 //
@@ -72,12 +56,7 @@ import (
 func main() {
 	rules := flag.Bool("rules", false, "list rules (name, severity, scope, doc) and exit")
 	jsonOut := flag.Bool("json", false, "emit findings as a stable JSON array")
-	baselinePath := flag.String("baseline", "", "accepted-findings JSON file; fail only on findings not in it")
-	staleFatal := flag.Bool("stale-fatal", false, "fail when baseline entries match no finding")
-	pruneFlag := flag.Bool("prune-baseline", false, "rewrite the -baseline file keeping only entries that still match")
-	graphPath := flag.String("graph-json", "", "write the static call graph as JSON to this path")
 	allocPath := flag.String("allochot-json", "", "write the ranked hot-path allocation worklist as JSON to this path")
-	guardsPath := flag.String("guards-json", "", "write the inferred shared-variable guard domains as JSON to this path")
 	flag.Parse()
 
 	registry := analysis.Analyzers()
@@ -135,58 +114,18 @@ func main() {
 
 	prog := analysis.NewProgram(loader, pkgs)
 	all = append(all, analysis.RunProgramAnalyzers(prog, registry)...)
-	if *graphPath != "" {
-		if err := writeArtifact(*graphPath, func() ([]byte, error) {
-			return graphJSON(moduleDir, prog.CallGraph())
-		}); err != nil {
-			fatal(err)
-		}
-	}
 	if *allocPath != "" {
-		if err := writeArtifact(*allocPath, func() ([]byte, error) {
-			return allochotJSON(moduleDir, analysis.AllochotWorklist(prog))
-		}); err != nil {
+		out, err := allochotJSON(moduleDir, analysis.AllochotWorklist(prog))
+		if err != nil {
 			fatal(err)
 		}
-	}
-	if *guardsPath != "" {
-		if err := writeArtifact(*guardsPath, func() ([]byte, error) {
-			return renderAnyJSON(analysis.GuardReport(prog))
-		}); err != nil {
+		if err := writeArtifact(*allocPath, out); err != nil {
 			fatal(err)
 		}
 	}
 
 	findings := toJSONDiagnostics(moduleDir, all)
 	applySeverities(findings, severityByRule(registry))
-
-	if *baselinePath != "" {
-		base, err := loadBaseline(*baselinePath)
-		if err != nil {
-			fatal(err)
-		}
-		var stale int
-		findings, stale = filterBaseline(findings, base)
-		if stale > 0 {
-			fmt.Fprintf(os.Stderr, "mctlint: %d baseline entr%s no longer found (stale)\n",
-				stale, plural(stale, "y", "ies"))
-			if *pruneFlag {
-				retained := pruneBaseline(base, toJSONDiagnostics(moduleDir, all))
-				out, err := renderJSON(retained)
-				if err != nil {
-					fatal(err)
-				}
-				if err := os.WriteFile(*baselinePath, out, 0o644); err != nil {
-					fatal(fmt.Errorf("prune baseline: %w", err))
-				}
-				fmt.Fprintf(os.Stderr, "mctlint: pruned %s to %d entr%s\n",
-					*baselinePath, len(retained), plural(len(retained), "y", "ies"))
-			} else if *staleFatal {
-				fmt.Fprintln(os.Stderr, "mctlint: stale baseline entries are fatal (-stale-fatal); run with -prune-baseline to tidy")
-				os.Exit(1)
-			}
-		}
-	}
 
 	if *jsonOut {
 		out, err := renderJSON(findings)
@@ -230,26 +169,15 @@ func countBySeverity(ds []jsonDiagnostic) (errs, warns int) {
 	return errs, warns
 }
 
-// writeArtifact renders and writes one JSON artifact, creating parent
+// writeArtifact writes one rendered JSON artifact, creating parent
 // directories as needed.
-func writeArtifact(path string, render func() ([]byte, error)) error {
-	out, err := render()
-	if err != nil {
-		return err
-	}
+func writeArtifact(path string, out []byte) error {
 	if dir := filepath.Dir(path); dir != "." {
 		if err := os.MkdirAll(dir, 0o755); err != nil {
 			return err
 		}
 	}
 	return os.WriteFile(path, out, 0o644)
-}
-
-func plural(n int, one, many string) string {
-	if n == 1 {
-		return one
-	}
-	return many
 }
 
 // resolvePattern maps a ./dir or ./dir/... argument to import paths.

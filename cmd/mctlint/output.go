@@ -1,33 +1,31 @@
-// Machine-readable output and the baseline gate.
+// Machine-readable output: the findings and the hot-path allocation
+// worklist.
 //
-// The JSON form exists so CI can both archive the findings and diff them
-// against a committed baseline: paths are module-relative with forward
-// slashes and the array is sorted by (file, line, col, rule, message), so
-// the rendered bytes are identical across runs, working directories and
-// operating systems.
+// The JSON forms exist so CI can archive and diff them: paths are
+// module-relative with forward slashes, findings are sorted by (file, line,
+// col, rule, message) and the worklist arrives pre-ranked, so the rendered
+// bytes are identical across runs, working directories and operating
+// systems.
 package main
 
 import (
 	"encoding/json"
 	"fmt"
-	"os"
+	"go/token"
 	"path/filepath"
 	"sort"
 
 	"mct/internal/analysis"
 )
 
-// jsonDiagnostic is one finding in the machine-readable schema shared by
-// -json output and -baseline input.
+// jsonDiagnostic is one finding in the -json schema.
 type jsonDiagnostic struct {
 	File    string `json:"file"`
 	Line    int    `json:"line"`
 	Col     int    `json:"col"`
 	Rule    string `json:"rule"`
 	Message string `json:"message"`
-	// Severity is derived from the rule ("error" or "warn"). It is omitted
-	// from baseline files written before the field existed and deliberately
-	// excluded from baseline matching.
+	// Severity is derived from the rule ("error" or "warn").
 	Severity string `json:"severity,omitempty"`
 }
 
@@ -41,12 +39,8 @@ func (d jsonDiagnostic) String() string {
 func toJSONDiagnostics(moduleDir string, diags []analysis.Diagnostic) []jsonDiagnostic {
 	out := make([]jsonDiagnostic, 0, len(diags))
 	for _, d := range diags {
-		file := d.Pos.Filename
-		if rel, err := filepath.Rel(moduleDir, file); err == nil && !filepath.IsAbs(rel) {
-			file = filepath.ToSlash(rel)
-		}
 		out = append(out, jsonDiagnostic{
-			File:    file,
+			File:    relPath(moduleDir, d.Pos),
 			Line:    d.Pos.Line,
 			Col:     d.Pos.Column,
 			Rule:    d.Rule,
@@ -90,29 +84,6 @@ func renderJSON(ds []jsonDiagnostic) ([]byte, error) {
 	return append(b, '\n'), nil
 }
 
-// renderAnyJSON marshals an arbitrary artifact value (guard domains, call
-// graph wrappers) as indented JSON terminated by a newline.
-func renderAnyJSON(v any) ([]byte, error) {
-	b, err := json.MarshalIndent(v, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(b, '\n'), nil
-}
-
-// loadBaseline reads an accepted-findings file written by -json.
-func loadBaseline(path string) ([]jsonDiagnostic, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("mctlint: baseline: %w", err)
-	}
-	var ds []jsonDiagnostic
-	if err := json.Unmarshal(data, &ds); err != nil {
-		return nil, fmt.Errorf("mctlint: baseline %s: %w", path, err)
-	}
-	return ds, nil
-}
-
 // applySeverities stamps each finding with its rule's severity.
 func applySeverities(ds []jsonDiagnostic, sev map[string]string) {
 	for i := range ds {
@@ -120,54 +91,45 @@ func applySeverities(ds []jsonDiagnostic, sev map[string]string) {
 	}
 }
 
-// baselineKey identifies a finding for baseline matching. Line and column
-// are deliberately excluded: edits above a finding shift it without
-// changing what it is, and a baseline that churns on every edit gets
-// deleted, not maintained.
-type baselineKey struct {
-	file, rule, message string
+// jsonAllocSite is one worklist entry of the hot-path allocation audit.
+type jsonAllocSite struct {
+	Func   string `json:"func"`
+	Kind   string `json:"kind"`
+	InLoop bool   `json:"inLoop"`
+	Depth  int    `json:"depth"`
+	File   string `json:"file"`
+	Line   int    `json:"line"`
 }
 
-// filterBaseline subtracts the baseline from the findings as a multiset:
-// each baseline entry absorbs at most one finding with the same file, rule
-// and message. It returns the surviving (new) findings and the number of
-// stale baseline entries that matched nothing.
-func filterBaseline(findings, baseline []jsonDiagnostic) (fresh []jsonDiagnostic, stale int) {
-	credit := map[baselineKey]int{}
-	for _, b := range baseline {
-		credit[baselineKey{b.File, b.Rule, b.Message}]++
+// allochotJSON renders the ranked allocation worklist (already sorted by
+// AllochotWorklist: in-loop first, then shallower call depth).
+func allochotJSON(moduleDir string, sites []analysis.AllocSite) ([]byte, error) {
+	if len(sites) == 0 {
+		return []byte("[]\n"), nil
 	}
-	fresh = findings[:0:0]
-	for _, d := range findings {
-		k := baselineKey{d.File, d.Rule, d.Message}
-		if credit[k] > 0 {
-			credit[k]--
-			continue
-		}
-		fresh = append(fresh, d)
+	out := make([]jsonAllocSite, 0, len(sites))
+	for _, s := range sites {
+		out = append(out, jsonAllocSite{
+			Func:   s.Func,
+			Kind:   s.Kind,
+			InLoop: s.InLoop,
+			Depth:  s.Depth,
+			File:   relPath(moduleDir, s.Pos),
+			Line:   s.Pos.Line,
+		})
 	}
-	for _, left := range credit {
-		stale += left
+	b, err := json.MarshalIndent(out, "", "  ")
+	if err != nil {
+		return nil, err
 	}
-	return fresh, stale
+	return append(b, '\n'), nil
 }
 
-// pruneBaseline returns the baseline entries that still match a current
-// finding, multiset-aware: n findings with one key retain at most n
-// baseline entries with that key. Entry order (and so the rewritten file's
-// bytes) is preserved.
-func pruneBaseline(baseline, findings []jsonDiagnostic) []jsonDiagnostic {
-	have := map[baselineKey]int{}
-	for _, d := range findings {
-		have[baselineKey{d.File, d.Rule, d.Message}]++
+// relPath renders a position's file module-relative with forward slashes,
+// falling back to the raw name for files outside the module.
+func relPath(moduleDir string, pos token.Position) string {
+	if rel, err := filepath.Rel(moduleDir, pos.Filename); err == nil && !filepath.IsAbs(rel) {
+		return filepath.ToSlash(rel)
 	}
-	retained := baseline[:0:0]
-	for _, b := range baseline {
-		k := baselineKey{b.File, b.Rule, b.Message}
-		if have[k] > 0 {
-			have[k]--
-			retained = append(retained, b)
-		}
-	}
-	return retained
+	return pos.Filename
 }

@@ -3,7 +3,6 @@ package main
 import (
 	"bytes"
 	"go/token"
-	"os"
 	"path/filepath"
 	"testing"
 
@@ -76,77 +75,5 @@ func TestToJSONDiagnosticsModuleRelative(t *testing.T) {
 	}
 	if ds[0].File != "internal/sim/sim.go" {
 		t.Errorf("path %q not module-relative slash form", ds[0].File)
-	}
-}
-
-func TestBaselineRoundTrip(t *testing.T) {
-	ds := sampleFindings()
-	sortJSONDiagnostics(ds)
-	out, err := renderJSON(ds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "baseline.json")
-	if err := os.WriteFile(path, out, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	got, err := loadBaseline(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(ds) {
-		t.Fatalf("round trip lost findings: %d != %d", len(got), len(ds))
-	}
-	for i := range got {
-		if got[i] != ds[i] {
-			t.Errorf("entry %d: %+v != %+v", i, got[i], ds[i])
-		}
-	}
-}
-
-func TestLoadBaselineErrors(t *testing.T) {
-	if _, err := loadBaseline(filepath.Join(t.TempDir(), "missing.json")); err == nil {
-		t.Error("missing baseline file did not error")
-	}
-	bad := filepath.Join(t.TempDir(), "bad.json")
-	if err := os.WriteFile(bad, []byte("{not json"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := loadBaseline(bad); err == nil {
-		t.Error("malformed baseline did not error")
-	}
-}
-
-func TestFilterBaseline(t *testing.T) {
-	findings := []jsonDiagnostic{
-		{File: "a.go", Line: 10, Rule: "goleak", Message: "m1"},
-		{File: "a.go", Line: 20, Rule: "goleak", Message: "m1"}, // same key, second instance
-		{File: "b.go", Line: 5, Rule: "maprange", Message: "m2"},
-	}
-	baseline := []jsonDiagnostic{
-		// Line differs: matching is line-agnostic.
-		{File: "a.go", Line: 99, Rule: "goleak", Message: "m1"},
-		// Stale: nothing matches this anymore.
-		{File: "gone.go", Line: 1, Rule: "floateq", Message: "old"},
-	}
-	fresh, stale := filterBaseline(findings, baseline)
-	if stale != 1 {
-		t.Errorf("stale = %d, want 1", stale)
-	}
-	if len(fresh) != 2 {
-		t.Fatalf("fresh = %+v, want 2 entries (one goleak instance absorbed)", fresh)
-	}
-	// The single baseline credit absorbs one of the two identical goleak
-	// findings; the other plus the maprange one survive.
-	if fresh[0].Rule != "goleak" || fresh[1].Rule != "maprange" {
-		t.Errorf("unexpected survivors: %+v", fresh)
-	}
-}
-
-func TestFilterBaselineEmptyBaseline(t *testing.T) {
-	findings := sampleFindings()
-	fresh, stale := filterBaseline(findings, nil)
-	if stale != 0 || len(fresh) != len(findings) {
-		t.Errorf("empty baseline changed findings: fresh=%d stale=%d", len(fresh), stale)
 	}
 }

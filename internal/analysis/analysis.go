@@ -13,7 +13,8 @@
 //
 //	//mctlint:ignore <rule> <reason>
 //
-// The reason is mandatory; a directive without one is itself reported and
+// The reason is mandatory and the rule must be registered; a directive
+// without a reason or naming an unknown rule is itself reported and
 // suppresses nothing.
 package analysis
 
@@ -94,9 +95,8 @@ func (a *Analyzer) Interprocedural() bool { return a.RunProgram != nil }
 // shipped with mctlint. The first seven are syntactic; the next three are
 // flow-sensitive, built on the CFG/dataflow layer of cfg.go and
 // dataflow.go; the next three are interprocedural, built on the call-graph
-// and summary layer of callgraph.go and summaries.go; the next three are
-// concurrency-aware, built on the MHP and guarded-by layers of mhp.go and
-// guards.go; the last is the program-scoped deprecation gate.
+// and summary layer of callgraph.go and summaries.go; the last is the
+// program-scoped deprecation gate.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		NoRandGlobal,
@@ -112,9 +112,6 @@ func Analyzers() []*Analyzer {
 		DetFlow,
 		AllocHot,
 		LockFlow,
-		RaceCand,
-		AtomicMix,
-		ChanMisuse,
 		NoDeprecated,
 	}
 }
@@ -129,11 +126,12 @@ type ignoreDirective struct {
 
 const ignorePrefix = "mctlint:ignore"
 
-// parseIgnores extracts the ignore directives of a file. Malformed
-// directives (missing rule or reason) suppress nothing; when malformed is
-// non-nil it is called with their positions so the package pass can report
-// them under the reserved rule name "mctlint".
-func parseIgnores(fset *token.FileSet, file *ast.File, malformed func(token.Pos)) []ignoreDirective {
+// parseIgnores extracts the ignore directives of a file. A directive
+// missing its rule or reason, or naming no registered rule, suppresses
+// nothing; when bad is non-nil it is called with the directive's position
+// and the complaint so the package pass can report it under the reserved
+// rule name "mctlint".
+func parseIgnores(fset *token.FileSet, file *ast.File, bad func(token.Pos, string)) []ignoreDirective {
 	var out []ignoreDirective
 	for _, cg := range file.Comments {
 		for _, c := range cg.List {
@@ -145,8 +143,14 @@ func parseIgnores(fset *token.FileSet, file *ast.File, malformed func(token.Pos)
 			rest := strings.TrimSpace(strings.TrimPrefix(text, ignorePrefix))
 			fields := strings.Fields(rest)
 			if len(fields) < 2 {
-				if malformed != nil {
-					malformed(c.Pos())
+				if bad != nil {
+					bad(c.Pos(), "malformed ignore directive: want //mctlint:ignore <rule> <reason>")
+				}
+				continue
+			}
+			if !registeredRule(fields[0]) {
+				if bad != nil {
+					bad(c.Pos(), fmt.Sprintf("ignore directive names unknown rule %q", fields[0]))
 				}
 				continue
 			}
@@ -161,6 +165,18 @@ func parseIgnores(fset *token.FileSet, file *ast.File, malformed func(token.Pos)
 	return out
 }
 
+// registeredRule reports whether name is a rule of the full registry — not
+// of the subset one run applies, so a directive for a rule a fixture test
+// leaves out is still valid.
+func registeredRule(name string) bool {
+	for _, a := range Analyzers() {
+		if a.Name == name {
+			return true
+		}
+	}
+	return false
+}
+
 // suppressKey identifies one (file, line, rule) suppression slot.
 type suppressKey struct {
 	file string
@@ -171,11 +187,11 @@ type suppressKey struct {
 // suppressionIndex collects the suppression slots of files: a directive on
 // line L suppresses matching findings on L and L+1 (trailing comment or
 // comment-above placement).
-func suppressionIndex(fset *token.FileSet, files []*ast.File, malformed func(token.Pos)) map[suppressKey]bool {
+func suppressionIndex(fset *token.FileSet, files []*ast.File, bad func(token.Pos, string)) map[suppressKey]bool {
 	suppressed := map[suppressKey]bool{}
 	for _, f := range files {
 		fname := fset.Position(f.Pos()).Filename
-		for _, d := range parseIgnores(fset, f, malformed) {
+		for _, d := range parseIgnores(fset, f, bad) {
 			suppressed[suppressKey{fname, d.line, d.rule}] = true
 			suppressed[suppressKey{fname, d.line + 1, d.rule}] = true
 		}
@@ -226,18 +242,17 @@ func RunAnalyzers(pass *Pass, analyzers []*Analyzer) []Diagnostic {
 			a.Run(pass)
 		}
 	}
-	suppressed := suppressionIndex(pass.Fset, pass.Files, func(pos token.Pos) {
-		pass.Reportf(pos, "mctlint",
-			"malformed ignore directive: want //mctlint:ignore <rule> <reason>")
+	suppressed := suppressionIndex(pass.Fset, pass.Files, func(pos token.Pos, msg string) {
+		pass.Reportf(pos, "mctlint", "%s", msg)
 	})
 	return applySuppression(pass.diags, suppressed)
 }
 
 // RunProgramAnalyzers runs every program-scoped analyzer over the program,
 // applies ignore directives of the analyzed packages, and returns the
-// surviving findings sorted by position. Malformed directives are not
-// re-reported here: the package pass over the same files already owns that
-// diagnostic.
+// surviving findings sorted by position. Malformed or unknown-rule
+// directives are not re-reported here: the package pass over the same
+// files already owns that diagnostic.
 func RunProgramAnalyzers(prog *Program, analyzers []*Analyzer) []Diagnostic {
 	for _, a := range analyzers {
 		if a.RunProgram != nil {

@@ -143,23 +143,26 @@ func TestAnalyzerFixtures(t *testing.T) {
 	}
 }
 
-// TestMalformedIgnoreReported asserts that a directive without a reason is
-// itself reported under the reserved rule "mctlint" (the norandglobal fixture
-// carries one in badignore.go) and — via the want marker on the line below
-// the directive — that it suppresses nothing.
+// TestMalformedIgnoreReported asserts that a directive without a reason,
+// and one naming no registered rule, is itself reported under the reserved
+// rule "mctlint" (the norandglobal fixture carries both in badignore.go)
+// and — via the want markers on the lines below the directives — that it
+// suppresses nothing. A directive naming a registered rule outside the
+// analyzers of the run is valid and not reported.
 func TestMalformedIgnoreReported(t *testing.T) {
 	diags := loadFixture(t, "norandglobal", []*Analyzer{NoRandGlobal})
-	var malformed []Diagnostic
+	var got []string
 	for _, d := range diags {
 		if d.Rule == "mctlint" {
-			malformed = append(malformed, d)
+			got = append(got, fmt.Sprintf("%s:%d %s", filepath.Base(d.Pos.Filename), d.Pos.Line, d.Message))
 		}
 	}
-	if len(malformed) != 1 {
-		t.Fatalf("want exactly 1 malformed-directive finding, got %d: %v", len(malformed), malformed)
+	want := []string{
+		"badignore.go:9 malformed ignore directive: want //mctlint:ignore <rule> <reason>",
+		`badignore.go:16 ignore directive names unknown rule "norandglobl"`,
 	}
-	if base := filepath.Base(malformed[0].Pos.Filename); base != "badignore.go" {
-		t.Errorf("malformed-directive finding in %s, want badignore.go", base)
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("directive findings\n got: %q\nwant: %q", got, want)
 	}
 }
 
@@ -177,24 +180,17 @@ func TestDiagnosticString(t *testing.T) {
 
 // TestModuleTreeClean is the in-repo form of the acceptance criterion
 // "go run ./cmd/mctlint ./... exits 0": every package of the module must be
-// free of findings under the full registry.
+// free of findings under the full registry. Its pass is the shared one that
+// TestLintTreeWallClockBudget times.
 func TestModuleTreeClean(t *testing.T) {
-	root := moduleRoot(t)
-	loader, err := NewLoader(root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	paths, err := loader.PackageDirs(root)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := sharedLintTree(t)
+	paths, pkgDiags, progDiags := res.paths, res.pkgDiags, res.progDiags
 	if len(paths) < 10 {
 		t.Fatalf("suspiciously few packages found: %v", paths)
 	}
 	// The linter must lint itself: the default walk has to cover the
 	// analysis framework and the driver, not just the simulator packages.
-	mod := loader.ModulePath()
-	for _, self := range []string{mod + "/internal/analysis", mod + "/cmd/mctlint"} {
+	for _, self := range []string{"mct/internal/analysis", "mct/cmd/mctlint"} {
 		found := false
 		for _, p := range paths {
 			if p == self {
@@ -206,23 +202,14 @@ func TestModuleTreeClean(t *testing.T) {
 			t.Errorf("default walk misses %s; the linter would not lint itself", self)
 		}
 	}
-	var all []*Package
-	for _, p := range paths {
-		pkg, err := loader.Load(p)
-		if err != nil {
-			t.Fatalf("load %s: %v", p, err)
-		}
-		all = append(all, pkg)
-		for _, d := range RunAnalyzers(NewPass(loader, pkg), Analyzers()) {
-			t.Errorf("unexpected finding: %s", d)
-		}
+	for _, d := range pkgDiags {
+		t.Errorf("unexpected finding: %s", d)
 	}
 	// The interprocedural rules must hold over the whole tree too: this is
 	// the in-repo proof that the determinism surfaces (report writers,
 	// obs.DumpJSON inputs, checkpoint encoders) are taint-free and that the
 	// hot path carries no unsanctioned allocations.
-	prog := NewProgram(loader, all)
-	for _, d := range RunProgramAnalyzers(prog, Analyzers()) {
+	for _, d := range progDiags {
 		t.Errorf("unexpected program finding: %s", d)
 	}
 }

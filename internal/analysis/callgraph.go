@@ -43,7 +43,7 @@ const (
 	EdgeRef
 )
 
-// String names the edge kind for exports and messages.
+// String names the edge kind for messages.
 func (k EdgeKind) String() string {
 	switch k {
 	case EdgeCall:

@@ -138,21 +138,6 @@ type lfFact map[string]lfEnt
 
 func runLockFlow(prog *Program) {
 	lf := &lockFlowState{prog: prog, graph: prog.CallGraph()}
-	lf.sums = lockSummariesOf(prog)
-	for _, fn := range prog.Funcs() {
-		lf.analyze(fn, func(f *FuncInfo) *lockSummary { return lf.sums[f] }, true)
-	}
-}
-
-// lockSummariesOf computes (and caches) every function's lock-effect
-// summary. lockflow reports from them; the guard-domain inference of
-// guards.go reuses them to see critical sections entered through helper
-// lock methods.
-func lockSummariesOf(prog *Program) map[*FuncInfo]*lockSummary {
-	if prog.lockSums != nil {
-		return prog.lockSums
-	}
-	lf := &lockFlowState{prog: prog, graph: prog.CallGraph()}
 	solver := &SummarySolver[*lockSummary]{
 		Graph:  lf.graph,
 		Bottom: func() *lockSummary { return nil },
@@ -161,8 +146,10 @@ func lockSummariesOf(prog *Program) map[*FuncInfo]*lockSummary {
 			return lf.analyze(fn, get, false)
 		},
 	}
-	prog.lockSums = solver.Solve()
-	return prog.lockSums
+	lf.sums = solver.Solve()
+	for _, fn := range prog.Funcs() {
+		lf.analyze(fn, func(f *FuncInfo) *lockSummary { return lf.sums[f] }, true)
+	}
 }
 
 type lockFlowState struct {

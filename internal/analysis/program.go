@@ -101,10 +101,7 @@ type Program struct {
 	seen        map[Diagnostic]bool
 	diags       []Diagnostic
 
-	graph    *CallGraph
-	conc     *Concurrency
-	lockSums map[*FuncInfo]*lockSummary
-	shared   *sharedIndex
+	graph *CallGraph
 }
 
 // NewProgram builds the program view over everything the loader has loaded
@@ -216,11 +213,6 @@ func (prog *Program) LookupFunc(name string) *FuncInfo {
 	return nil
 }
 
-// InternalPath reports whether path is inside the module.
-func (prog *Program) InternalPath(path string) bool {
-	return path == prog.ModulePath || strings.HasPrefix(path, prog.ModulePath+"/")
-}
-
 // Reportf records a finding at pos. Findings outside the analyzed packages
 // are dropped (interprocedural analyzers traverse dependency bodies, but a
 // run over ./internal/sim must not report inside ./internal/nvm), as are
@@ -246,8 +238,7 @@ func (prog *Program) takeDiagnostics() []Diagnostic {
 }
 
 // Position renders a short file:line location for messages (base name only:
-// messages must stay stable under baseline matching even when the tree
-// moves).
+// messages must stay stable when the tree moves).
 func (prog *Program) Position(pos token.Pos) string {
 	p := prog.Fset.Position(pos)
 	name := p.Filename

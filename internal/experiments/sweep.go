@@ -45,8 +45,7 @@ type Options struct {
 	// ColdSweep evaluates each configuration on a freshly built machine
 	// (replaying the full warmup per configuration) instead of cloning the
 	// shared warm machine. Results are identical by the snapshot contract —
-	// this exists as the reference path for equivalence tests and for the
-	// cold-vs-warm sweep benchmarks.
+	// this exists as the reference path for equivalence tests.
 	ColdSweep bool
 }
 

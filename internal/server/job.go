@@ -74,9 +74,8 @@ func (j *job) publish(e api.Event) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	for _, ch := range j.subs {
-		//mctlint:ignore chanmisuse non-blocking fan-out by design: a full subscriber buffer drops the frame instead of stalling the runner
 		select {
-		case ch <- e: //mctlint:ignore chanmisuse receiver lives in the SSE handler (handleEvents), reached through the subscription map
+		case ch <- e:
 		default:
 		}
 	}
