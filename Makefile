@@ -96,9 +96,11 @@ serve-smoke:
 # `go test` runs the seed corpus (fresh NVM-only and DRAM-tier checkpoints).
 # Then a short differential fuzz of gradient boosting against the reference
 # implementation in internal/ml/reference_test.go: predictions must match
-# bit for bit.
+# bit for bit. Last, the job-spec decoder: every accepted spec must round
+# trip and keep its instruction budget within 2^53.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzLoadCheckpoint$$' -fuzztime 30s -fuzzminimizetime 1x ./internal/sim
 	$(GO) test -run '^$$' -fuzz '^FuzzGBoostMatchesReference$$' -fuzztime 10s -fuzzminimizetime 1x ./internal/ml
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeJobSpec$$' -fuzztime 10s -fuzzminimizetime 1x ./api
 
 verify: build vet lint test perfbench-test race bench-smoke mem-smoke serve-smoke fuzz-smoke

@@ -295,6 +295,9 @@ func TestJobSpecValidate(t *testing.T) {
 		{"evaluate no benchmark", JobSpec{V: Version, Kind: KindEvaluate, Config: &cfg, Insts: 1}, "missing benchmark"},
 		{"evaluate no config", JobSpec{V: Version, Kind: KindEvaluate, Benchmark: "b", Insts: 1}, "missing config"},
 		{"evaluate no insts", JobSpec{V: Version, Kind: KindEvaluate, Benchmark: "b", Config: &cfg}, "missing insts"},
+		{"evaluate insts at bound", JobSpec{V: Version, Kind: KindEvaluate, Benchmark: "b", Config: &cfg, Insts: maxInsts}, ""},
+		{"evaluate insts over bound", JobSpec{V: Version, Kind: KindEvaluate, Benchmark: "b", Config: &cfg, Insts: maxInsts + 1}, "exceeds the bound"},
+		{"sweep insts over bound", JobSpec{V: Version, Kind: KindSweep, Benchmark: "b", Accesses: 1, Insts: 1<<64 - 1}, "exceeds the bound"},
 		{"sweep no accesses", JobSpec{V: Version, Kind: KindSweep, Benchmark: "b"}, "missing accesses"},
 		{"sweep negative stride", JobSpec{V: Version, Kind: KindSweep, Benchmark: "b", Accesses: 1, Stride: -1}, "negative stride"},
 		{"experiment no id", JobSpec{V: Version, Kind: KindExperiment}, "missing experiment"},

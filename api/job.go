@@ -59,12 +59,20 @@ type JobSpec struct {
 	DRAMPromoteThreshold int  `json:"dram_promote_threshold,omitempty"`
 }
 
-// Validate checks version, kind, and the kind's required fields. It does not
-// resolve names (benchmark, experiment) — those fail at execution with the
-// registry's own error.
+// maxInsts bounds a job's instruction budget at 2^53, the bound a restored
+// checkpoint applies to core clocks: every count up to it is exact as a
+// float64 and fits an int on any 64-bit host.
+const maxInsts = 1 << 53
+
+// Validate checks version, kind, the instruction bound, and the kind's
+// required fields. It does not resolve names (benchmark, experiment) —
+// those fail at execution with the registry's own error.
 func (s JobSpec) Validate() error {
 	if s.V != Version {
 		return fmt.Errorf("api: job spec has schema version %d; this decoder reads version %d", s.V, Version)
+	}
+	if s.Insts > maxInsts {
+		return fmt.Errorf("api: job spec: insts %d exceeds the bound 2^53", s.Insts)
 	}
 	switch s.Kind {
 	case KindEvaluate:

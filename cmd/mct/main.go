@@ -12,9 +12,11 @@
 //	mct -checkpoint-load results/lbm.ckpt   # resume the saved machine
 //
 // Checkpoints capture the machine's complete state (trace position, PRNG
-// stream, cache contents, controller queues and wear): a run resumed from
-// -checkpoint-load continues the exact simulation the saved run would have
-// executed, for single benchmarks and -mix runs alike.
+// stream, cache contents, controller queues and wear): a machine resumed
+// from -checkpoint-load continues the exact access stream the saved one
+// would have executed, for single benchmarks and -mix runs alike. The MCT
+// runtime is not in the checkpoint; a resumed run starts a fresh one,
+// which samples and learns again.
 //
 // The reference runs (default system, static baseline) execute concurrently
 // with the MCT run on separate simulated machines; -workers bounds that

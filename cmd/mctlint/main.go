@@ -17,7 +17,7 @@
 //
 // Every run applies the whole registry in one pass. Rules are either
 // package-scoped (one pass per package) or program-scoped: the
-// interprocedural rules (detflow, allochot, lockflow) and nodeprecated run
+// interprocedural rules (allochot, lockflow) and nodeprecated run
 // over a whole-program view with a static call graph, built once from the
 // transitive module dependencies of the requested packages — findings are
 // still reported only inside the requested packages.

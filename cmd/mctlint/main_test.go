@@ -12,7 +12,7 @@ func TestSeverityStamping(t *testing.T) {
 	if sev["allochot"] != "warn" {
 		t.Errorf("allochot severity = %q, want warn", sev["allochot"])
 	}
-	for _, rule := range []string{"detflow", "lockflow", "norandglobal", "mctlint"} {
+	for _, rule := range []string{"lockflow", "norandglobal", "mctlint"} {
 		if sev[rule] != "error" {
 			t.Errorf("%s severity = %q, want error", rule, sev[rule])
 		}
@@ -20,7 +20,7 @@ func TestSeverityStamping(t *testing.T) {
 
 	ds := []jsonDiagnostic{
 		{File: "a.go", Rule: "allochot", Message: "m"},
-		{File: "a.go", Rule: "detflow", Message: "m"},
+		{File: "a.go", Rule: "lockflow", Message: "m"},
 	}
 	applySeverities(ds, sev)
 	if ds[0].Severity != "warn" || ds[1].Severity != "error" {

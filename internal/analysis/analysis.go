@@ -94,7 +94,7 @@ func (a *Analyzer) Interprocedural() bool { return a.RunProgram != nil }
 // Analyzers returns the default registry: every simulator-aware rule
 // shipped with mctlint. The first seven are syntactic; the next three are
 // flow-sensitive, built on the CFG/dataflow layer of cfg.go and
-// dataflow.go; the next three are interprocedural, built on the call-graph
+// dataflow.go; the next two are interprocedural, built on the call-graph
 // and summary layer of callgraph.go and summaries.go; the last is the
 // program-scoped deprecation gate.
 func Analyzers() []*Analyzer {
@@ -109,7 +109,6 @@ func Analyzers() []*Analyzer {
 		MapRange,
 		GoLeak,
 		DeferLoop,
-		DetFlow,
 		AllocHot,
 		LockFlow,
 		NoDeprecated,

@@ -6,10 +6,10 @@
 // iterates a worklist in reverse post-order until block-entry facts stop
 // changing and returns the entry and exit fact of every block.
 //
-// The framework is deliberately small: the analyzers it serves (lockflow,
-// detflow) need may-analyses over finite fact domains (sets of held locks,
-// taint marks), for which union joins converge in O(blocks × domain)
-// iterations. A safety cap guards against a non-monotone client.
+// The framework is deliberately small: the analyzer it serves (lockflow)
+// needs a may-analysis over a finite fact domain (sets of held locks), for
+// which union joins converge in O(blocks × domain) iterations. A safety
+// cap guards against a non-monotone client.
 package analysis
 
 // FlowSpec describes one forward dataflow problem with facts of type F.

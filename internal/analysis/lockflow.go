@@ -162,7 +162,7 @@ type lockFlowState struct {
 // returning its lock summary and (when report is set) reporting the holds
 // that survive to exit.
 func (lf *lockFlowState) analyze(fn *FuncInfo, get func(*FuncInfo) *lockSummary, report bool) *lockSummary {
-	params := detParams(fn)
+	params := fn.params()
 	sum := newLockSummary(len(params))
 	info := fn.Pkg.Info
 

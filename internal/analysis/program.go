@@ -74,6 +74,28 @@ func (f *FuncInfo) Type() *types.Signature {
 	return types.NewSignatureType(nil, nil, nil, nil, nil, false)
 }
 
+// params returns the receiver (if any) followed by the parameters — the
+// index space function summaries use.
+func (f *FuncInfo) params() []*types.Var {
+	sig := f.Type()
+	var out []*types.Var
+	if r := sig.Recv(); r != nil {
+		out = append(out, r)
+	}
+	for i := 0; i < sig.Params().Len(); i++ {
+		out = append(out, sig.Params().At(i))
+	}
+	return out
+}
+
+// shortFuncName trims the module-path noise off a FuncInfo name for
+// messages, keeping a method's receiver form:
+// "(*mct/internal/sim.Machine).step$1" becomes "(*sim.Machine).step$1".
+func shortFuncName(name string) string {
+	rest := strings.TrimLeft(name, "(*")
+	return name[:len(name)-len(rest)] + rest[strings.LastIndexByte(rest, '/')+1:]
+}
+
 // CFG lazily builds (and caches) the function's control-flow graph.
 func (f *FuncInfo) CFG() *CFG {
 	if f.cfg == nil {

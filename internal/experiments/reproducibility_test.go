@@ -5,7 +5,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -91,43 +90,44 @@ func TestExperimentReportDeterminism(t *testing.T) {
 	}
 }
 
-// TestParallelDeterminismAcrossWorkers renders fig1 (sweep fan-out across
-// configurations AND across benchmarks) at several worker counts with cold
-// caches and asserts byte-identical reports — the engine's central
-// guarantee: parallelism changes only wall-clock, never results.
+// TestParallelDeterminismAcrossWorkers renders every experiment in IDs() at
+// Workers=1 and Workers=4 with cold caches and asserts byte-identical
+// reports — the engine's central guarantee: parallelism changes only
+// wall-clock, never results. Rendering the whole report covers every
+// table row and every Report.Notes line, so a wall-clock, environment or
+// map-order value reaching either fails here for any experiment that
+// reaches it at tiny fidelity.
 func TestParallelDeterminismAcrossWorkers(t *testing.T) {
 	t.Setenv(cacheEnv, "")
 	defer ResetSweepCache()
 	opt := tinyOptions()
 	rp := DefaultRunParams()
 	rp.Trials = 1
+	rp.TotalInsts = tinyInsts
+	rp.SampleCounts = []int{10, 40}
 
-	render := func(workers int) string {
-		ResetSweepCache()
-		o := opt
-		o.Workers = workers
-		rep, err := Run(context.Background(), "fig1", o, rp)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		var buf bytes.Buffer
-		rep.Fprint(&buf)
-		return buf.String()
-	}
-
-	counts := []int{1, 4}
-	if g := runtime.GOMAXPROCS(0); g != 1 && g != 4 {
-		counts = append(counts, g)
-	}
-	want := render(counts[0])
-	if want == "" {
-		t.Fatal("empty report")
-	}
-	for _, w := range counts[1:] {
-		if got := render(w); got != want {
-			t.Errorf("report at Workers=%d differs from Workers=%d\n--- w=%d:\n%s\n--- w=%d:\n%s",
-				w, counts[0], counts[0], want, w, got)
-		}
+	for _, id := range IDs() {
+		t.Run(id, func(t *testing.T) {
+			render := func(workers int) string {
+				ResetSweepCache()
+				o := opt
+				o.Workers = workers
+				rep, err := Run(context.Background(), id, o, rp)
+				if err != nil {
+					t.Fatalf("workers=%d: %v", workers, err)
+				}
+				var buf bytes.Buffer
+				rep.Fprint(&buf)
+				return buf.String()
+			}
+			want := render(1)
+			if want == "" {
+				t.Fatal("empty report")
+			}
+			if got := render(4); got != want {
+				t.Errorf("report at Workers=4 differs from Workers=1\n--- w=1:\n%s\n--- w=4:\n%s", want, got)
+			}
+		})
 	}
 }
 
@@ -249,10 +249,10 @@ func TestSweepKeyIncludesSimOptions(t *testing.T) {
 
 // TestModelComparisonReportDeterminism renders fig2 (the model-comparison
 // table that used to embed a wall-clock overhead column) twice and asserts
-// byte-identical reports. This is the regression guard for the detflow
-// finding that moved the fit/predict timing off the stable tables and onto
-// the progress stream: before that fix fig2 could never have a
-// byte-identity test at all.
+// byte-identical reports. This is the regression guard for the defect
+// that moved the fit/predict timing off the stable tables and onto the
+// progress stream: before that fix fig2 could never have a byte-identity
+// test at all.
 func TestModelComparisonReportDeterminism(t *testing.T) {
 	t.Setenv(cacheEnv, "")
 	defer ResetSweepCache()

@@ -395,7 +395,6 @@ func FromState(s State) (*Registry, error) {
 		if !nameRe.MatchString(name) {
 			return nil, fmt.Errorf("obs: state gauge name %q invalid", name)
 		}
-		//mctlint:ignore detflow one Set per distinct gauge key; restore iteration order cannot change final values
 		r.getOrCreate(name, kindGauge, vol[name], nil).gauge.Set(v)
 	}
 	for name, hs := range s.Histograms {

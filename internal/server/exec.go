@@ -191,7 +191,7 @@ func execEvaluate(ctx context.Context, spec api.JobSpec, opt ExecOptions) ([]byt
 				return nil, err
 			}
 		}
-		di, ti := int(m.WindowInstructions()), int(total) //mctlint:ignore cyclecast instruction budgets come from the wire spec, far below 2^62
+		di, ti := int(m.WindowInstructions()), int(total) //mctlint:ignore cyclecast Validate above bounds insts at 2^53 (api.JobSpec.Validate); the window stops at most one step past it
 		opt.emit(obs.Event{Scope: "job", Item: spec.Benchmark, Done: di, Total: ti})
 		opt.chunkDone(di, ti)
 	}
